@@ -118,13 +118,22 @@ def _resolve(ch, Ttilde, F, theta, noise, p_warm):
     return rep.p, h_eff, im
 
 
+def _converged_power(im, p_warm):
+    """Fixed-point powers; a non-converged fixed point is never passed on."""
+    rep = solve_power_fixed_point(im.Q, im.tau, p0=p_warm)
+    if not rep.converged:
+        raise InfeasibleError(f"power fixed point did not converge in {rep.iterations} iterations")
+    return rep
+
+
 def solve(cfg: SystemConfig, channels: ChannelSet, profile: LatencyProfile,
           fw: FrameworkConfig | None = None, rng: np.random.Generator | None = None,
           weights: np.ndarray | None = None):
     """Minimize the total uplink power subject to per-user deadlines.
 
     Returns (SolverState, ConvergenceTrace). Raises InfeasibleError when no
-    initial phase candidate passes the spectral-radius gate. ``weights``
+    initial phase candidate passes the spectral-radius gate, or when a power
+    fixed point of the current iterate does not converge. ``weights``
     scale the per-user terms of the beamformer objectives (power-cap loop).
     """
     fw = fw or FrameworkConfig()
@@ -157,7 +166,7 @@ def solve(cfg: SystemConfig, channels: ChannelSet, profile: LatencyProfile,
     beam_stale = 0  # consecutive negligible theta updates; 2 freezes the beamformer
     beam_obj = float("nan")
     for t in range(1, fw.max_outer + 1):
-        rep = solve_power_fixed_point(im.Q, im.tau, p0=p)
+        rep = _converged_power(im, p)
         outer_resid = float(np.max(np.abs(rep.p - (im.Q @ rep.p + im.tau))))
         p = rep.p
         inner_resid = outer_resid
@@ -186,8 +195,7 @@ def solve(cfg: SystemConfig, channels: ChannelSet, profile: LatencyProfile,
             else:
                 h_eff = effective_channel(ch, theta)
                 im = build_interference(Ttilde, F, h_eff, noise)
-                rep = solve_power_fixed_point(im.Q, im.tau, p0=p)
-                p = rep.p
+                p = _converged_power(im, p).p
             inner_resid = float(np.max(np.abs(p - (im.Q @ p + im.tau))))
             s = float(np.sum(p))
             if abs(s - prev_inner_sum) <= fw.inner_tol * max(prev_inner_sum, s, 1e-300):
@@ -295,8 +303,9 @@ def solve_multi_antenna(cfg: SystemConfig, mu_channels: MultiAntennaChannels,
     for _ in range(max_rounds):
         cand = np.empty_like(qbar)
         theta = state.theta
-        h_eff_mats = [
+        h_eff_mats = [  # theta is empty when solved without the IRS
             mu_channels.H_direct[k] + mu_channels.G @ (theta[:, None] * mu_channels.H_irs[k])
+            if theta.size else mu_channels.H_direct[k]
             for k in range(k_users)
         ]
         # w[j, k] = (H_eff,k)^H f_j: user k's channel seen by detector j

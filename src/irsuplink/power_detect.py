@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 __all__ = [
     "InfeasibleError",
@@ -29,7 +28,8 @@ __all__ = [
 
 
 class InfeasibleError(Exception):
-    """The SINR targets cannot all be met (spectral radius of Q >= 1)."""
+    """The SINR targets cannot all be met (spectral radius of Q >= 1), or the
+    power fixed point did not converge within its iteration cap."""
 
 
 class DegenerateDetectorError(ValueError):
@@ -67,23 +67,9 @@ def build_interference(Ttilde, F: np.ndarray, h_eff: np.ndarray, noise_power: fl
     return InterferenceMatrix(Q=Q, tau=tau)
 
 
-def spectral_radius(Q: np.ndarray, tol: float = 1e-8, max_iter: int = 50) -> float:
-    """Dominant eigenvalue magnitude of a nonnegative matrix by power iteration."""
-    Q = np.asarray(Q, dtype=float)
-    k = Q.shape[0]
-    v = np.ones(k) / np.sqrt(k)
-    lam = 0.0
-    for _ in range(max_iter):
-        w = Q @ v
-        nrm = np.linalg.norm(w)
-        if nrm == 0.0:
-            return 0.0
-        v_next = w / nrm
-        lam_next = float(v_next @ (Q @ v_next))
-        if abs(lam_next - lam) <= tol * max(1.0, abs(lam_next)):
-            return lam_next
-        v, lam = v_next, lam_next
-    return lam
+def spectral_radius(Q: np.ndarray) -> float:
+    """Exact dominant eigenvalue magnitude of the K x K coupling matrix."""
+    return float(np.max(np.abs(np.linalg.eigvals(Q))))
 
 
 def solve_power_fixed_point(
@@ -95,14 +81,14 @@ def solve_power_fixed_point(
 ) -> PowerSolveReport:
     """Iterate p <- Q p + tau to the minimal feasible power vector.
 
-    Raises InfeasibleError when the power-iteration estimate of rho(Q) is
-    not below one. Convergence is declared on the relative inf-norm
-    residual ||p - (Q p + tau)||_inf / ||p||_inf <= tol.
+    Raises InfeasibleError when rho(Q), computed exactly, is not below
+    one. Convergence is declared on the relative inf-norm residual
+    ||p - (Q p + tau)||_inf / ||p||_inf <= tol.
     """
     tau = np.asarray(tau, dtype=float)
     rho = spectral_radius(Q)
     if rho >= 1.0:
-        raise InfeasibleError(f"spectral radius estimate {rho:.6f} >= 1")
+        raise InfeasibleError(f"spectral radius {rho:.6f} >= 1")
     p = tau.copy() if p0 is None else np.asarray(p0, dtype=float).copy()
     for it in range(1, max_iter + 1):
         p_next = Q @ p + tau
@@ -117,22 +103,26 @@ def mvdr_detector(p, h_eff: np.ndarray, noise_power: float, k: int) -> np.ndarra
     """MVDR detector for user k: R_k^{-1} h_k / (h_k^H R_k^{-1} h_k).
 
     R_k sums the interferers' weighted outer products plus the noise
-    loading, so it is Hermitian positive definite; the solve goes through a
-    Cholesky factorization. The result satisfies f_k^H h_k = 1.
+    loading. The result satisfies f_k^H h_k = 1; it is row k of mvdr_bank.
+    """
+    return mvdr_bank(p, h_eff, noise_power)[k]
+
+
+def mvdr_bank(p, h_eff: np.ndarray, noise_power: float) -> np.ndarray:
+    """All K MVDR detectors stacked as rows, from one linear solve.
+
+    The full covariance R = sigma^2 I + sum_j p_j h_j h_j^H differs from
+    user k's interference-plus-noise covariance R_k by p_k h_k h_k^H, so by
+    Sherman-Morrison R^{-1} h_k is parallel to R_k^{-1} h_k. Normalizing
+    each column of R^{-1} H^T to f_k^H h_k = 1 therefore gives the same
+    detectors as K separate solves.
     """
     if noise_power <= 0:
         raise ValueError(f"noise power must be positive, got {noise_power}")
     p = np.asarray(p, dtype=float)
-    K, m = h_eff.shape
-    R = noise_power * np.eye(m, dtype=complex)
-    for j in range(K):
-        if j != k:
-            R += p[j] * np.outer(h_eff[j], h_eff[j].conj())
-    x = cho_solve(cho_factor(R, lower=True), h_eff[k])
-    denom = np.vdot(h_eff[k], x)  # h^H R^{-1} h; complex division makes f^H h = 1 exact
-    return x / denom
-
-
-def mvdr_bank(p, h_eff: np.ndarray, noise_power: float) -> np.ndarray:
-    """All K MVDR detectors stacked as rows."""
-    return np.stack([mvdr_detector(p, h_eff, noise_power, k) for k in range(h_eff.shape[0])])
+    m = h_eff.shape[1]
+    R = noise_power * np.eye(m, dtype=complex) + (h_eff.T * p) @ h_eff.conj()
+    X = np.linalg.solve(R, h_eff.T)
+    # h_k^H R^{-1} h_k; complex division makes f^H h = 1 exact
+    denom = np.sum(h_eff.conj() * X.T, axis=1)
+    return (X / denom).T

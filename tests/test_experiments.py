@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -118,6 +119,12 @@ class TestRunExperiment:
         assert math.isnan(table.rows[0].sum_power_dbm)
         _, _, metrics = table.aggregates[0]
         assert metrics["feasible"]["mean"] == 0.0
+
+    def test_multi_antenna_preset_without_irs(self):
+        spec = dataclasses.replace(scenario_default()["multi-antenna"], trials=1,
+                                   grid=(2,), solvers=("none",))
+        table = run_experiment(spec)
+        assert len(table.rows) == 1 and table.rows[0].solver == "none"
 
 
 class TestSweepVariables:

@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from irsuplink import framework
 from irsuplink import (
     FrameworkConfig,
     InfeasibleError,
@@ -113,6 +116,27 @@ class TestSolveBasics:
             FrameworkConfig(beamformer="sdr")
 
 
+class TestNonConvergence:
+    @pytest.mark.parametrize("failing_call", [1, 2])  # outer refresh, inner refresh
+    def test_non_converged_fixed_point_is_infeasible(self, monkeypatch, failing_call):
+        cfg = small_cfg(K=2, rho_b=0.5)
+        ch, prof = draw(cfg, 3)
+        original = framework.solve_power_fixed_point
+        calls = []
+
+        def fake(*args, **kwargs):
+            rep = original(*args, **kwargs)
+            calls.append(rep)
+            if len(calls) == failing_call:
+                return dataclasses.replace(rep, converged=False)
+            return rep
+
+        monkeypatch.setattr(framework, "solve_power_fixed_point", fake)
+        with pytest.raises(InfeasibleError, match="did not converge"):
+            solve(cfg, ch, prof, FrameworkConfig(beamformer="none"))
+        assert len(calls) == failing_call
+
+
 class TestPowerCaps:
     def test_loose_cap_feasible_in_one_round(self):
         cfg = small_cfg(K=1, rho_b=0.0)
@@ -181,6 +205,20 @@ class TestMultiAntenna:
         qbar, st, _ = solve_multi_antenna(cfg, mu, prof,
                                           FrameworkConfig(beamformer="ccmo"),
                                           np.random.default_rng(0))
+        for k in range(2):
+            assert np.linalg.norm(qbar[k]) == pytest.approx(1.0, abs=1e-12)
+
+    def test_no_irs_solver_with_multi_antenna_users(self):
+        # the empty theta of a solve without the IRS must not meet H_irs
+        cfg = small_cfg(K=2, rho_b=1.0, n_u=2)
+        mu = sample_multi_antenna_channels(cfg, np.random.default_rng([8, 0]))
+        prof = LatencyProfile.from_data(
+            np.random.default_rng([8, 1]).uniform(5000, 8000, 2), cfg.W, cfg.T)
+        qbar, st, _ = solve_multi_antenna(cfg, mu, prof, FrameworkConfig(beamformer="none"),
+                                          np.random.default_rng(0))
+        assert st.theta.size == 0
+        direct = np.einsum("kmu,ku->km", mu.H_direct, qbar)
+        np.testing.assert_allclose(st.h_eff, direct, rtol=1e-12)
         for k in range(2):
             assert np.linalg.norm(qbar[k]) == pytest.approx(1.0, abs=1e-12)
 

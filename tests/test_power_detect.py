@@ -63,7 +63,12 @@ class TestSpectralRadius:
             q = rng.uniform(0, 1, (4, 4))
             np.fill_diagonal(q, 0.0)
             expect = max(abs(np.linalg.eigvals(q)))
-            assert spectral_radius(q, tol=1e-12, max_iter=500) == pytest.approx(expect, rel=1e-6)
+            assert spectral_radius(q) == pytest.approx(expect, rel=1e-6)
+
+    def test_asymmetric_pair(self):
+        # power iteration from the ones vector returns (a + b) / 2 = 1.0 here
+        q = np.array([[0.0, 1.5], [0.5, 0.0]])
+        assert spectral_radius(q) == pytest.approx(np.sqrt(0.75))
 
     def test_below_one_after_mvdr(self, rng):
         h_eff, F, Tt, noise = feasible_power_instance(rng)
@@ -147,6 +152,20 @@ class TestMvdr:
                 g = f + 0.3 * crandn(rng, M)
                 g = g / np.conj(np.vdot(g, h[k]))  # restore f^H h = 1
                 assert np.vdot(g, R @ g).real >= base - 1e-12 * base
+
+    def test_bank_matches_per_user_covariance_solves(self, rng):
+        K, M, noise = 3, 8, 0.5
+        for _ in range(10):
+            h = crandn(rng, K, M)
+            p = rng.uniform(0.1, 3.0, K)
+            F = mvdr_bank(p, h, noise)
+            for k in range(K):
+                R_k = noise * np.eye(M, dtype=complex)
+                for j in range(K):
+                    if j != k:
+                        R_k += p[j] * np.outer(h[j], h[j].conj())
+                x = np.linalg.solve(R_k, h[k])
+                np.testing.assert_allclose(F[k], x / np.vdot(h[k], x), rtol=1e-10)
 
     def test_requires_positive_noise(self, rng):
         with pytest.raises(ValueError):
