@@ -4,9 +4,7 @@ under per-user latency constraints, with a Monte-Carlo sweep harness."""
 from .channel import (
     ChannelSet,
     GainParams,
-    MultiAntennaChannels,
     PathLossParams,
-    SteeringVector,
     path_loss_db,
     perturb_csi,
     sample_channel_set,
@@ -32,27 +30,17 @@ from .system import (
 from .power_detect import (
     DegenerateDetectorError,
     InfeasibleError,
-    InterferenceMatrix,
-    PowerSolveReport,
     build_interference,
     mvdr_bank,
-    mvdr_detector,
     solve_power_fixed_point,
     spectral_radius,
 )
 from .beamform_admm import (
-    AdmmResult,
-    AdmmState,
     FractionalObjective,
     SingularDenominatorError,
-    admm_q_step,
-    admm_theta_step,
     run_admm,
-    sum_of_ratios,
-    update_beta,
 )
 from .beamform_ccmo import (
-    CcmoResult,
     QuadraticForm,
     RetractionSingularityError,
     assemble_quadratic,
@@ -63,18 +51,14 @@ from .beamform_ccmo import (
     run_ccmo,
 )
 from .framework import (
-    ConvergenceTrace,
     FrameworkConfig,
-    PowerCapResult,
     solve,
     solve_multi_antenna,
     solve_with_power_caps,
 )
 from .experiments import (
     ExperimentSpec,
-    ExperimentTable,
     SpecError,
-    TrialResult,
     emit_csv,
     read_csv,
     run_experiment,

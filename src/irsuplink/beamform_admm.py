@@ -24,8 +24,6 @@ __all__ = [
     "AdmmState",
     "AdmmResult",
     "QStepReport",
-    "sum_of_ratios",
-    "update_beta",
     "admm_theta_step",
     "admm_q_step",
     "run_admm",
@@ -123,18 +121,6 @@ class FractionalObjective:
         coef = np.where(floored, 0.0, 1.0 / (beta * b2c**3))
         grad = -np.einsum("k,kn->n", coef * s, self.coeffs.g[idx, idx])
         return val, grad, bool(np.any(floored))
-
-
-def sum_of_ratios(theta, coeffs: EffectiveCoeffs, p, Ttilde, noise_power, weights=None) -> float:
-    """Weighted sum of inverse SINRs at the given phase vector."""
-    obj = FractionalObjective(coeffs, np.asarray(p, float), np.asarray(Ttilde, float), noise_power, weights)
-    return obj.value(np.asarray(theta))
-
-
-def update_beta(theta, coeffs: EffectiveCoeffs, p, Ttilde, noise_power, weights=None) -> np.ndarray:
-    """Exact minimizers beta_k = 1/(2 A_k B_k) of the transformed objective."""
-    obj = FractionalObjective(coeffs, np.asarray(p, float), np.asarray(Ttilde, float), noise_power, weights)
-    return obj.optimal_beta(np.asarray(theta))
 
 
 @dataclass

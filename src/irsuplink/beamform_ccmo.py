@@ -140,7 +140,7 @@ class CcmoResult:
 
 def run_ccmo(form: QuadraticForm, theta0: np.ndarray, max_iter: int = 5000,
              tol: float = 1e-8, step_size: float | None = None,
-             backtracking: bool = False, record_path: bool = False) -> CcmoResult:
+             record_path: bool = False) -> CcmoResult:
     """Riemannian gradient descent with a constant step bounded by
     1/max|eig(U)|.
 
@@ -172,9 +172,7 @@ def run_ccmo(form: QuadraticForm, theta0: np.ndarray, max_iter: int = 5000,
                 zeta *= 0.5
                 continue
             f_new = form.descent_value(cand)
-            good = (f_new <= f - 1e-4 * zeta * float(np.vdot(grad, grad).real)) \
-                if backtracking else (f_new <= f)
-            if good:
+            if f_new <= f:
                 accepted = True
                 break
             zeta *= 0.5
@@ -195,18 +193,16 @@ def run_ccmo(form: QuadraticForm, theta0: np.ndarray, max_iter: int = 5000,
 
 def optimize_phases(form: QuadraticForm, theta0: np.ndarray, restarts: int = 0,
                     rng: np.random.Generator | None = None, **kwargs) -> CcmoResult:
-    """run_ccmo from theta0 plus optional random restarts; best result wins."""
-    best = run_ccmo(form, theta0, **kwargs)
+    """run_ccmo from each start in theta0 ((N,) or (S, N), in order), then
+    from `restarts` random starts; the best result wins, ties to the first."""
+    starts = list(np.atleast_2d(theta0))
     if restarts > 0:
         if rng is None:
             rng = np.random.default_rng(0)
-        n = np.asarray(theta0).size
-        for _ in range(restarts):
-            start = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n))
-            res = run_ccmo(form, start, **kwargs)
-            if res.descent_value < best.descent_value:
-                best = res
-    return best
+        n = starts[0].size
+        starts += [np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n)) for _ in range(restarts)]
+    return min((run_ccmo(form, start, **kwargs) for start in starts),
+               key=lambda r: r.descent_value)
 
 
 def aligned_phases(coeffs: EffectiveCoeffs, k: int = 0) -> np.ndarray:

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "SteeringVector",
     "ChannelSet",
     "MultiAntennaChannels",
     "PathLossParams",
@@ -37,19 +36,6 @@ __all__ = [
     "sample_multi_antenna_channels",
     "perturb_csi",
 ]
-
-
-@dataclass(frozen=True)
-class SteeringVector:
-    """Unit-norm array response; ``direction`` is the directional sine
-    (a pair (azimuth, elevation) for planar arrays)."""
-
-    entries: np.ndarray
-    direction: float | tuple[float, float]
-
-    @property
-    def length(self) -> int:
-        return self.entries.size
 
 
 @dataclass(frozen=True)
@@ -122,14 +108,6 @@ class ChannelSet:
     blockage: np.ndarray
 
     @property
-    def num_users(self) -> int:
-        return self.h_direct.shape[0]
-
-    @property
-    def num_ap_antennas(self) -> int:
-        return self.h_direct.shape[1]
-
-    @property
     def num_irs_elements(self) -> int:
         return self.G.shape[1]
 
@@ -173,22 +151,22 @@ def _ula(m: int, sine: float) -> np.ndarray:
     return np.exp(-1j * np.pi * sine * idx) / np.sqrt(m)
 
 
-def ula_steering(m: int, direction: float) -> SteeringVector:
-    """Normalized ULA steering vector for a directional sine in [-1, 1]."""
+def ula_steering(m: int, direction: float) -> np.ndarray:
+    """Normalized ULA steering vector (M,) for a directional sine in [-1, 1]."""
     if m < 1:
         raise ValueError(f"array needs at least one element, got {m}")
-    return SteeringVector(entries=_ula(m, direction), direction=float(direction))
+    return _ula(m, direction)
 
 
 def _ura(n_az: int, n_el: int, az: float, el: float) -> np.ndarray:
     return np.kron(_ula(n_az, az), _ula(n_el, el))
 
 
-def ura_steering(n_az: int, n_el: int, az: float, el: float) -> SteeringVector:
-    """URA steering vector: Kronecker product of the two ULA factors."""
+def ura_steering(n_az: int, n_el: int, az: float, el: float) -> np.ndarray:
+    """URA steering vector (n_az n_el,): Kronecker product of the two ULA factors."""
     if n_az < 1 or n_el < 1:
         raise ValueError(f"array needs at least one element per axis, got {n_az}x{n_el}")
-    return SteeringVector(entries=_ura(n_az, n_el, az, el), direction=(float(az), float(el)))
+    return _ura(n_az, n_el, az, el)
 
 
 def path_loss_db(params: PathLossParams, distance_m: float, rng: np.random.Generator) -> float:
@@ -215,47 +193,47 @@ _AP_BROADSIDE = np.pi / 2.0  # ULA along x axis, facing +y
 _IRS_BROADSIDE = np.pi  # URA facing -x, toward the AP
 
 
-def sample_direct_channel(cfg, user_xy, blocked: bool, rng: np.random.Generator) -> np.ndarray:
-    """One AP-user channel: LoS term (dropped when blocked) plus L NLoS terms.
+def _path_gain(params: PathLossParams, dist: float, n_u, rng: np.random.Generator):
+    """Complex gain of one path and its user-side response.
 
-    Each path gets an independent gain CN(0, 10^(-PL/10)) with the LoS or
-    NLoS loss parameters, and the whole sum is scaled by sqrt(M/(L+1)).
-    The LoS variates are consumed even when the path is blocked so the
-    stream stays aligned across blockage outcomes.
+    Single-antenna links (n_u None) take the scalar response 1 and draw
+    nothing more; N_u-antenna links draw an AoD sine after the gain, also
+    at N_u = 1, so their variate count does not depend on N_u.
     """
+    xi = _complex_gain(path_loss_db(params, dist, rng), rng)
+    return xi, 1.0 if n_u is None else _ula(n_u, rng.uniform(-1.0, 1.0)).conj()
+
+
+def _direct_link(cfg, user_xy, blocked: bool, n_u, rng: np.random.Generator) -> np.ndarray:
     m, L = cfg.M, cfg.L
     dist = float(np.hypot(user_xy[0] - cfg.ap_xy[0], user_xy[1] - cfg.ap_xy[1]))
     amp = cfg.gain.amp_ap * cfg.gain.amp_user
 
-    pl_los = path_loss_db(cfg.path_loss_los, dist, rng)
-    xi_los = _complex_gain(pl_los, rng)
-    los_sine = _directional_sine(cfg.ap_xy, user_xy, _AP_BROADSIDE)
-
-    h = np.zeros(m, dtype=complex)
+    xi, u = _path_gain(cfg.path_loss_los, dist, n_u, rng)
+    h = np.zeros((m,) + np.shape(u), dtype=complex)
     if not blocked:
-        h += xi_los * amp * _ula(m, los_sine)
+        los_sine = _directional_sine(cfg.ap_xy, user_xy, _AP_BROADSIDE)
+        h += xi * amp * np.multiply.outer(_ula(m, los_sine), u)
     for _ in range(L):
         sine = rng.uniform(-1.0, 1.0)
-        pl = path_loss_db(cfg.path_loss_nlos, dist, rng)
-        xi = _complex_gain(pl, rng)
-        h += xi * amp * _ula(m, sine)
-    return np.sqrt(m / (L + 1)) * h
+        xi, u = _path_gain(cfg.path_loss_nlos, dist, n_u, rng)
+        h += xi * amp * np.multiply.outer(_ula(m, sine), u)
+    return np.sqrt(m * np.size(u) / (L + 1)) * h
 
 
-def sample_irs_links(cfg, user_positions, rng: np.random.Generator):
-    """IRS-user LoS channels h_irs (K, N) and the rank-one AP-IRS matrix G (M, N)."""
+def _irs_links(cfg, user_positions, n_u, rng: np.random.Generator):
     n_az, n_el = cfg.N_az, cfg.N_el
     n = n_az * n_el
     amp_iu = cfg.gain.amp_irs * cfg.gain.amp_user
     amp_bi = cfg.gain.amp_ap * cfg.gain.amp_irs
 
-    h_irs = np.zeros((len(user_positions), n), dtype=complex)
-    for k, xy in enumerate(user_positions):
+    h_irs = []
+    for xy in user_positions:
         dist = float(np.hypot(xy[0] - cfg.irs_xy[0], xy[1] - cfg.irs_xy[1]))
-        pl = path_loss_db(cfg.path_loss_los, dist, rng)
-        xi = _complex_gain(pl, rng)
+        xi, u = _path_gain(cfg.path_loss_los, dist, n_u, rng)
         az = _directional_sine(cfg.irs_xy, xy, _IRS_BROADSIDE)
-        h_irs[k] = np.sqrt(n) * xi * amp_iu * _ura(n_az, n_el, az, 0.0)
+        h_irs.append(np.sqrt(n * np.size(u)) * xi * amp_iu
+                     * np.multiply.outer(_ura(n_az, n_el, az, 0.0), u))
 
     dist_g = float(np.hypot(cfg.irs_xy[0] - cfg.ap_xy[0], cfg.irs_xy[1] - cfg.ap_xy[1]))
     pl_g = path_loss_db(cfg.path_loss_los, dist_g, rng)
@@ -265,20 +243,38 @@ def sample_irs_links(cfg, user_positions, rng: np.random.Generator):
     a_ap = _ula(cfg.M, phi)
     a_irs = _ura(n_az, n_el, az_g, 0.0)
     G = np.sqrt(cfg.M * n) * xi_g * amp_bi * np.outer(a_ap, a_irs.conj())
-    return h_irs, G
+    return np.stack(h_irs), G
+
+
+def _sample_links(cfg, n_u, rng: np.random.Generator):
+    """(direct, IRS-user, G, blockage) in the fixed draw order: blockage
+    flags, then each user's direct paths, each user's IRS link, then G."""
+    blocked = np.array([rng.uniform() < cfg.rho_b for _ in range(cfg.K)])
+    direct = np.stack([_direct_link(cfg, cfg.user_xy[k], bool(blocked[k]), n_u, rng)
+                       for k in range(cfg.K)])
+    irs, G = _irs_links(cfg, cfg.user_xy, n_u, rng)
+    return direct, irs, G, blocked
+
+
+def sample_direct_channel(cfg, user_xy, blocked: bool, rng: np.random.Generator) -> np.ndarray:
+    """One AP-user channel: LoS term (dropped when blocked) plus L NLoS terms.
+
+    Each path gets an independent gain CN(0, 10^(-PL/10)) with the LoS or
+    NLoS loss parameters, and the whole sum is scaled by sqrt(M/(L+1)).
+    The LoS variates are consumed even when the path is blocked so the
+    stream stays aligned across blockage outcomes.
+    """
+    return _direct_link(cfg, user_xy, blocked, None, rng)
+
+
+def sample_irs_links(cfg, user_positions, rng: np.random.Generator):
+    """IRS-user LoS channels h_irs (K, N) and the rank-one AP-IRS matrix G (M, N)."""
+    return _irs_links(cfg, user_positions, None, rng)
 
 
 def sample_channel_set(cfg, rng: np.random.Generator) -> ChannelSet:
     """Draw one full realization (blockage states, direct links, IRS links)."""
-    blocked = np.array([rng.uniform() < cfg.rho_b for _ in range(cfg.K)])
-    h_direct = np.stack(
-        [
-            sample_direct_channel(cfg, cfg.user_xy[k], bool(blocked[k]), rng)
-            for k in range(cfg.K)
-        ]
-    )
-    h_irs, G = sample_irs_links(cfg, cfg.user_xy, rng)
-    return ChannelSet(h_direct=h_direct, h_irs=h_irs, G=G, blockage=blocked)
+    return ChannelSet(*_sample_links(cfg, None, rng))
 
 
 def sample_multi_antenna_channels(cfg, rng: np.random.Generator) -> MultiAntennaChannels:
@@ -289,53 +285,7 @@ def sample_multi_antenna_channels(cfg, rng: np.random.Generator) -> MultiAntenna
     that factor is [1], so the matrices are exactly the SIMO vectors. The
     variate count does not depend on N_u (AoD sines are always drawn).
     """
-    m, L, n_u = cfg.M, cfg.L, cfg.N_u
-    n = cfg.N_az * cfg.N_el
-    amp_d = cfg.gain.amp_ap * cfg.gain.amp_user
-    amp_iu = cfg.gain.amp_irs * cfg.gain.amp_user
-    amp_bi = cfg.gain.amp_ap * cfg.gain.amp_irs
-
-    blocked = np.array([rng.uniform() < cfg.rho_b for _ in range(cfg.K)])
-    H_direct = np.zeros((cfg.K, m, n_u), dtype=complex)
-    for k in range(cfg.K):
-        xy = cfg.user_xy[k]
-        dist = float(np.hypot(xy[0] - cfg.ap_xy[0], xy[1] - cfg.ap_xy[1]))
-        pl_los = path_loss_db(cfg.path_loss_los, dist, rng)
-        xi_los = _complex_gain(pl_los, rng)
-        psi_los = rng.uniform(-1.0, 1.0)
-        los_sine = _directional_sine(cfg.ap_xy, xy, _AP_BROADSIDE)
-        H = np.zeros((m, n_u), dtype=complex)
-        if not blocked[k]:
-            H += xi_los * amp_d * np.outer(_ula(m, los_sine), _ula(n_u, psi_los).conj())
-        for _ in range(L):
-            sine = rng.uniform(-1.0, 1.0)
-            pl = path_loss_db(cfg.path_loss_nlos, dist, rng)
-            xi = _complex_gain(pl, rng)
-            psi = rng.uniform(-1.0, 1.0)
-            H += xi * amp_d * np.outer(_ula(m, sine), _ula(n_u, psi).conj())
-        H_direct[k] = np.sqrt(m * n_u / (L + 1)) * H
-
-    H_irs = np.zeros((cfg.K, n, n_u), dtype=complex)
-    for k in range(cfg.K):
-        xy = cfg.user_xy[k]
-        dist = float(np.hypot(xy[0] - cfg.irs_xy[0], xy[1] - cfg.irs_xy[1]))
-        pl = path_loss_db(cfg.path_loss_los, dist, rng)
-        xi = _complex_gain(pl, rng)
-        psi = rng.uniform(-1.0, 1.0)
-        az = _directional_sine(cfg.irs_xy, xy, _IRS_BROADSIDE)
-        H_irs[k] = np.sqrt(n * n_u) * xi * amp_iu * np.outer(
-            _ura(cfg.N_az, cfg.N_el, az, 0.0), _ula(n_u, psi).conj()
-        )
-
-    dist_g = float(np.hypot(cfg.irs_xy[0] - cfg.ap_xy[0], cfg.irs_xy[1] - cfg.ap_xy[1]))
-    pl_g = path_loss_db(cfg.path_loss_los, dist_g, rng)
-    xi_g = _complex_gain(pl_g, rng)
-    phi = _directional_sine(cfg.ap_xy, cfg.irs_xy, _AP_BROADSIDE)
-    az_g = _directional_sine(cfg.irs_xy, cfg.ap_xy, _IRS_BROADSIDE)
-    G = np.sqrt(m * n) * xi_g * amp_bi * np.outer(
-        _ula(m, phi), _ura(cfg.N_az, cfg.N_el, az_g, 0.0).conj()
-    )
-    return MultiAntennaChannels(H_direct=H_direct, H_irs=H_irs, G=G, blockage=blocked)
+    return MultiAntennaChannels(*_sample_links(cfg, cfg.N_u, rng))
 
 
 def perturb_csi(h: np.ndarray, mu: float, rng: np.random.Generator) -> np.ndarray:

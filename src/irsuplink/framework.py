@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .beamform_admm import FractionalObjective, run_admm
-from .beamform_ccmo import aligned_phases, assemble_quadratic, run_ccmo
+from .beamform_ccmo import aligned_phases, assemble_quadratic, optimize_phases
 from .channel import ChannelSet, MultiAntennaChannels
 from .power_detect import (
     DegenerateDetectorError,
@@ -25,7 +25,8 @@ from .power_detect import (
     build_interference,
     mvdr_bank,
     solve_power_fixed_point,
-    spectral_radius,
+    # never called here (solve_power_fixed_point is the gate); bench/test_bench.py reads it
+    spectral_radius,  # noqa: F401
 )
 from .system import (
     LatencyProfile,
@@ -47,29 +48,25 @@ __all__ = [
 
 BEAMFORMERS = ("ccmo", "admm", "none", "fixed-random")
 
+OUTER_TOL = 1e-6  # relative change of the total power that ends the outer loop
+INNER_TOL = 1e-5  # same for the inner sweeps, and a negligible phase-update gain
+MAX_OUTER = 100
+MAX_INNER = 50
+RESTARTS = 3  # random CCMO starts on the first phase update
+CCMO_MAX_ITER = 2000
+CCMO_TOL = 1e-8
+ADMM_MAX_OUTER = 6
+ADMM_MAX_INNER = 60
+ADMM_TOL_CONSENSUS = 1e-3
+
 
 @dataclass(frozen=True)
 class FrameworkConfig:
     beamformer: str = "ccmo"
-    outer_tol: float = 1e-6
-    inner_tol: float = 1e-5
-    max_outer: int = 100
-    max_inner: int = 50
-    power_cap: float | None = None
-    restarts: int = 3
-    ccmo_max_iter: int = 2000
-    ccmo_tol: float = 1e-8
-    admm_max_outer: int = 6
-    admm_max_inner: int = 60
-    admm_tol_consensus: float = 1e-3
 
     def __post_init__(self):
         if self.beamformer not in BEAMFORMERS:
             raise ValueError(f"unknown beamformer {self.beamformer!r}, pick one of {BEAMFORMERS}")
-        if min(self.outer_tol, self.inner_tol) <= 0:
-            raise ValueError("tolerances must be positive")
-        if min(self.max_outer, self.max_inner) < 1:
-            raise ValueError("iteration caps must be at least 1")
 
 
 @dataclass
@@ -104,26 +101,23 @@ def _initial_theta_candidates(beamformer: str, n: int, rng: np.random.Generator)
 
 def _resolve(ch, Ttilde, F, theta, noise, p_warm):
     """Fixed-point powers for a candidate theta at the current detectors,
-    or None when the candidate is infeasible/degenerate."""
+    or None when the candidate is infeasible/degenerate/not converged."""
     h_eff = effective_channel(ch, theta)
     try:
         im = build_interference(Ttilde, F, h_eff, noise)
-    except DegenerateDetectorError:
+        rep = solve_power_fixed_point(im.Q, im.tau, p0=p_warm)
+    except (DegenerateDetectorError, InfeasibleError):
         return None
-    if spectral_radius(im.Q) >= 1.0:
-        return None
-    rep = solve_power_fixed_point(im.Q, im.tau, p0=p_warm)
     if not rep.converged:
         return None
     return rep.p, h_eff, im
 
 
-def _converged_power(im, p_warm):
-    """Fixed-point powers; a non-converged fixed point is never passed on."""
-    rep = solve_power_fixed_point(im.Q, im.tau, p0=p_warm)
+def _converged(rep):
+    """The fixed-point powers; a non-converged fixed point is never passed on."""
     if not rep.converged:
         raise InfeasibleError(f"power fixed point did not converge in {rep.iterations} iterations")
-    return rep
+    return rep.p
 
 
 def solve(cfg: SystemConfig, channels: ChannelSet, profile: LatencyProfile,
@@ -145,33 +139,35 @@ def solve(cfg: SystemConfig, channels: ChannelSet, profile: LatencyProfile,
     n = ch.num_irs_elements
     t0 = time.perf_counter()
 
+    # the first candidate whose fixed point passes its spectral-radius gate;
+    # that fixed point is the first outer power refresh
     theta = None
     for cand in _initial_theta_candidates(fw.beamformer, n, rng):
         h_eff = effective_channel(ch, cand)
         try:
             F = _matched_filters(h_eff)
             im = build_interference(Ttilde, F, h_eff, noise)
-        except DegenerateDetectorError:
+            rep = solve_power_fixed_point(im.Q, im.tau)
+        except (DegenerateDetectorError, InfeasibleError):
             continue
-        if spectral_radius(im.Q) < 1.0:
-            theta = cand
-            break
+        theta = cand
+        break
     if theta is None:
         raise InfeasibleError("no initial phase candidate passes the spectral-radius gate")
 
-    p = im.tau.copy()
     trace = ConvergenceTrace()
     prev_outer_sum = np.inf
     first_beam_call = True
     beam_stale = 0  # consecutive negligible theta updates; 2 freezes the beamformer
     beam_obj = float("nan")
-    for t in range(1, fw.max_outer + 1):
-        rep = _converged_power(im, p)
-        outer_resid = float(np.max(np.abs(rep.p - (im.Q @ rep.p + im.tau))))
-        p = rep.p
+    for t in range(1, MAX_OUTER + 1):
+        if t > 1:
+            rep = solve_power_fixed_point(im.Q, im.tau, p0=p)
+        p = _converged(rep)
+        outer_resid = float(np.max(np.abs(p - (im.Q @ p + im.tau))))
         inner_resid = outer_resid
         prev_inner_sum = float(np.sum(p))
-        for _ in range(fw.max_inner):
+        for _ in range(MAX_INNER):
             F = mvdr_bank(p, h_eff, noise)
             if fw.beamformer in ("ccmo", "admm") and n > 0 and beam_stale < 2:
                 coeffs = effective_coeffs(ch, F)
@@ -188,17 +184,17 @@ def solve(cfg: SystemConfig, channels: ChannelSet, profile: LatencyProfile,
                     theta = cand
                     p, h_eff, im = trial
                     gain = base_sum - float(np.sum(p))
-                    beam_stale = beam_stale + 1 if gain <= fw.inner_tol * base_sum else 0
+                    beam_stale = beam_stale + 1 if gain <= INNER_TOL * base_sum else 0
                 else:
                     p, h_eff, im = base
                     beam_stale += 1
             else:
                 h_eff = effective_channel(ch, theta)
                 im = build_interference(Ttilde, F, h_eff, noise)
-                p = _converged_power(im, p).p
+                p = _converged(solve_power_fixed_point(im.Q, im.tau, p0=p))
             inner_resid = float(np.max(np.abs(p - (im.Q @ p + im.tau))))
             s = float(np.sum(p))
-            if abs(s - prev_inner_sum) <= fw.inner_tol * max(prev_inner_sum, s, 1e-300):
+            if abs(s - prev_inner_sum) <= INNER_TOL * max(prev_inner_sum, s, 1e-300):
                 break
             prev_inner_sum = s
         s = float(np.sum(p))
@@ -211,7 +207,7 @@ def solve(cfg: SystemConfig, channels: ChannelSet, profile: LatencyProfile,
         trace.power_residuals.append((outer_resid, inner_resid))
         trace.outer_iterations = t
         if np.isfinite(prev_outer_sum) and \
-                abs(s - prev_outer_sum) <= fw.outer_tol * max(prev_outer_sum, s, 1e-300):
+                abs(s - prev_outer_sum) <= OUTER_TOL * max(prev_outer_sum, s, 1e-300):
             trace.converged = True
             break
         prev_outer_sum = s
@@ -220,23 +216,15 @@ def solve(cfg: SystemConfig, channels: ChannelSet, profile: LatencyProfile,
 
 def _beamformer_candidate(fw, coeffs, p, Ttilde, noise, weights, theta, first_call, rng):
     """One passive-beamforming update; returns (candidate theta, objective value)."""
-    k = p.shape[0]
-    n = coeffs.g.shape[2]
     if fw.beamformer == "ccmo":
         form = assemble_quadratic(coeffs, p, Ttilde, noise, weights)
-        kwargs = dict(max_iter=fw.ccmo_max_iter, tol=fw.ccmo_tol)
-        results = [run_ccmo(form, theta, **kwargs)]
-        if first_call:
-            if k == 1:
-                results.append(run_ccmo(form, aligned_phases(coeffs), **kwargs))
-            for _ in range(fw.restarts):
-                start = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n))
-                results.append(run_ccmo(form, start, **kwargs))
-        best = min(results, key=lambda r: r.descent_value)
+        starts = [theta, aligned_phases(coeffs)] if first_call and p.shape[0] == 1 else theta
+        best = optimize_phases(form, starts, restarts=RESTARTS if first_call else 0, rng=rng,
+                               max_iter=CCMO_MAX_ITER, tol=CCMO_TOL)
         return best.theta, best.residual_value
     objective = FractionalObjective(coeffs, p, Ttilde, noise, weights)
-    res = run_admm(objective, theta, max_outer=fw.admm_max_outer,
-                   max_inner=fw.admm_max_inner, tol_consensus=fw.admm_tol_consensus)
+    res = run_admm(objective, theta, max_outer=ADMM_MAX_OUTER,
+                   max_inner=ADMM_MAX_INNER, tol_consensus=ADMM_TOL_CONSENSUS)
     return res.theta, res.value
 
 

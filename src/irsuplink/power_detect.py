@@ -22,7 +22,6 @@ __all__ = [
     "build_interference",
     "spectral_radius",
     "solve_power_fixed_point",
-    "mvdr_detector",
     "mvdr_bank",
 ]
 
@@ -99,17 +98,10 @@ def solve_power_fixed_point(
     return PowerSolveReport(p=p, iterations=max_iter, spectral_radius_estimate=rho, converged=False)
 
 
-def mvdr_detector(p, h_eff: np.ndarray, noise_power: float, k: int) -> np.ndarray:
-    """MVDR detector for user k: R_k^{-1} h_k / (h_k^H R_k^{-1} h_k).
-
-    R_k sums the interferers' weighted outer products plus the noise
-    loading. The result satisfies f_k^H h_k = 1; it is row k of mvdr_bank.
-    """
-    return mvdr_bank(p, h_eff, noise_power)[k]
-
-
 def mvdr_bank(p, h_eff: np.ndarray, noise_power: float) -> np.ndarray:
-    """All K MVDR detectors stacked as rows, from one linear solve.
+    """All K MVDR detectors f_k = R_k^{-1} h_k / (h_k^H R_k^{-1} h_k), stacked
+    as rows, from one linear solve. R_k sums the interferers' weighted outer
+    products plus the noise loading; each row satisfies f_k^H h_k = 1.
 
     The full covariance R = sigma^2 I + sum_j p_j h_j h_j^H differs from
     user k's interference-plus-noise covariance R_k by p_k h_k h_k^H, so by

@@ -20,7 +20,6 @@ from irsuplink import (
     emit_csv,
     latency,
     mvdr_bank,
-    mvdr_detector,
     run_admm,
     run_ccmo,
     run_experiment,
@@ -120,7 +119,7 @@ def test_criterion_04_mvdr_distortionless_and_optimal():
         im = build_interference(prof.Ttilde, h_eff / norms[:, None], h_eff, cfg.noise_power)
         p = solve_power_fixed_point(im.Q, im.tau).p  # operating-point powers
         for k in range(cfg.K):
-            f = mvdr_detector(p, h_eff, cfg.noise_power, k)
+            f = mvdr_bank(p, h_eff, cfg.noise_power)[k]
             worst_unit = max(worst_unit, abs(np.vdot(f, h_eff[k]) - 1.0))
             R = cfg.noise_power * np.eye(cfg.M, dtype=complex)
             for j in range(cfg.K):

@@ -7,8 +7,6 @@ from irsuplink import (
     SingularDenominatorError,
     run_admm,
     sinr,
-    sum_of_ratios,
-    update_beta,
 )
 from irsuplink.beamform_admm import AdmmState, admm_q_step, admm_theta_step
 from irsuplink import SolverState, effective_channel, effective_coeffs, mvdr_bank
@@ -30,7 +28,7 @@ class TestSumOfRatios:
         coeffs = random_coeffs(rng, K=1, N=3)
         p, Tt, noise = np.ones(1), np.array([0.7]), 1.3
         theta = np.exp(1j * (np.angle(coeffs.b[0, 0]) + np.angle(coeffs.g[0, 0])))
-        got = sum_of_ratios(theta, coeffs, p, Tt, noise)
+        got = FractionalObjective(coeffs, p, Tt, noise).value(theta)
         b_val = abs(coeffs.b[0, 0] + np.vdot(coeffs.g[0, 0], theta)) ** 2
         assert got == pytest.approx(0.7 * 1.3 * coeffs.f_norm_sq[0] / b_val, rel=1e-12)
 
@@ -46,7 +44,7 @@ class TestSumOfRatios:
             st = SolverState(p=p, F=F, theta=theta, h_eff=h_eff)
             # each ratio is the one-step power update of user k, i.e. p_k T~_k / Gamma_k
             expect = sum(p[k] * Tt[k] / sinr(st, 0.9, k) for k in range(K))
-            got = sum_of_ratios(theta, effective_coeffs(ch, F), p, Tt, 0.9)
+            got = FractionalObjective(effective_coeffs(ch, F), p, Tt, 0.9).value(theta)
             assert got == pytest.approx(expect, rel=1e-10)
 
     def test_singular_denominator_raises(self):
@@ -54,7 +52,7 @@ class TestSumOfRatios:
                                  g=np.zeros((1, 1, 2), complex),
                                  f_norm_sq=np.ones(1))
         with pytest.raises(SingularDenominatorError):
-            sum_of_ratios(np.ones(2, complex), coeffs, np.ones(1), np.ones(1), 1.0)
+            FractionalObjective(coeffs, np.ones(1), np.ones(1), 1.0).value(np.ones(2, complex))
 
 
 class TestBetaUpdate:
@@ -63,7 +61,8 @@ class TestBetaUpdate:
         coeffs = EffectiveCoeffs(b=np.array([[2 ** -0.25 + 0j]]),
                                  g=np.zeros((1, 1, 3), complex),
                                  f_norm_sq=np.array([2 ** -0.5]))
-        beta = update_beta(np.ones(3, complex), coeffs, np.ones(1), np.ones(1), 1.0)
+        beta = FractionalObjective(coeffs, np.ones(1), np.ones(1), 1.0).optimal_beta(
+            np.ones(3, complex))
         assert beta[0] == pytest.approx(1.0, rel=1e-12)
 
     def test_transform_exact_at_optimal_beta(self, rng):

@@ -32,25 +32,25 @@ def cfg_for(M=4, N_az=2, N_el=2, K=1, L=3, rho_b=0.0, user_xy=((40.0, 40.0),),
 class TestSteering:
     def test_single_element(self):
         sv = ula_steering(1, 0.5)
-        assert sv.length == 1
-        assert sv.entries == pytest.approx([1.0 + 0.0j])
+        assert sv.size == 1
+        assert sv == pytest.approx([1.0 + 0.0j])
 
     def test_broadside_two_elements(self):
         sv = ula_steering(2, 0.0)
-        assert sv.entries == pytest.approx(np.ones(2) / np.sqrt(2))
+        assert sv == pytest.approx(np.ones(2) / np.sqrt(2))
 
     def test_phases_match_scalar_loop(self):
         # direct evaluation with the centered index set {-1.5,-0.5,0.5,1.5}
         sv = ula_steering(4, 0.3)
         for i, idx in enumerate([-1.5, -0.5, 0.5, 1.5]):
             expected = np.exp(-1j * np.pi * 0.3 * idx) / 2.0
-            assert sv.entries[i] == pytest.approx(expected, abs=1e-15)
+            assert sv[i] == pytest.approx(expected, abs=1e-15)
 
     def test_unit_norm(self, rng):
         for _ in range(50):
             m = int(rng.integers(1, 40))
             sv = ula_steering(m, rng.uniform(-1, 1))
-            assert abs(np.linalg.norm(sv.entries) - 1.0) < 1e-12
+            assert abs(np.linalg.norm(sv) - 1.0) < 1e-12
 
     def test_zero_elements_rejected(self):
         with pytest.raises(ValueError):
@@ -61,24 +61,24 @@ class TestSteering:
             ura_steering(2, 0, 0.1, 0.1)
 
     def test_ura_trivial_and_kronecker(self):
-        assert ura_steering(1, 1, 0.3, -0.2).entries == pytest.approx([1.0])
-        np.testing.assert_allclose(ura_steering(2, 1, 0.0, 0.7).entries,
-                                   ula_steering(2, 0.0).entries, atol=1e-15)
+        assert ura_steering(1, 1, 0.3, -0.2) == pytest.approx([1.0])
+        np.testing.assert_allclose(ura_steering(2, 1, 0.0, 0.7),
+                                   ula_steering(2, 0.0), atol=1e-15)
         sv = ura_steering(2, 2, 0.2, 0.4)
-        a_az = ula_steering(2, 0.2).entries
-        a_el = ula_steering(2, 0.4).entries
+        a_az = ula_steering(2, 0.2)
+        a_el = ula_steering(2, 0.4)
         for i in range(2):
             for j in range(2):
-                assert sv.entries[2 * i + j] == pytest.approx(a_az[i] * a_el[j], abs=1e-15)
+                assert sv[2 * i + j] == pytest.approx(a_az[i] * a_el[j], abs=1e-15)
 
     def test_ura_reduces_to_ula(self, rng):
         for n in (1, 3, 7):
             az, el = rng.uniform(-1, 1, 2)
-            np.testing.assert_allclose(ura_steering(n, 1, az, el).entries,
-                                       ula_steering(n, az).entries, atol=1e-14)
-            np.testing.assert_allclose(ura_steering(1, n, az, el).entries,
-                                       ula_steering(n, el).entries, atol=1e-14)
-            assert abs(np.linalg.norm(ura_steering(n, n, az, el).entries) - 1) < 1e-12
+            np.testing.assert_allclose(ura_steering(n, 1, az, el),
+                                       ula_steering(n, az), atol=1e-14)
+            np.testing.assert_allclose(ura_steering(1, n, az, el),
+                                       ula_steering(n, el), atol=1e-14)
+            assert abs(np.linalg.norm(ura_steering(n, n, az, el)) - 1) < 1e-12
 
 
 class TestPathLoss:
@@ -134,7 +134,7 @@ class TestDirectChannel:
         cfg = cfg_for(M=4, L=0, user_xy=((0.0, 50.0),))
         h = sample_direct_channel(cfg, (0.0, 50.0), False, rng)
         amp = cfg.gain.amp_ap * cfg.gain.amp_user
-        steer = ula_steering(4, 0.0).entries
+        steer = ula_steering(4, 0.0)
         ratio = h / (np.sqrt(4) * amp * steer)
         assert np.allclose(ratio, ratio[0], atol=1e-12)
 
@@ -184,8 +184,8 @@ class TestIrsLinks:
         cfg = cfg_for(M=2, N_az=2, N_el=1)
         _, G = sample_irs_links(cfg, cfg.user_xy, rng)
         # AP sees the IRS at bearing 0 from broadside +y: sine -1; IRS sees AP broadside
-        a_ap = ula_steering(2, -1.0).entries
-        a_irs = ura_steering(2, 1, 0.0, 0.0).entries
+        a_ap = ula_steering(2, -1.0)
+        a_irs = ura_steering(2, 1, 0.0, 0.0)
         expected_shape = np.outer(a_ap, a_irs.conj())
         ratio = G / expected_shape
         assert np.allclose(ratio, ratio[0, 0], atol=1e-10 * np.abs(ratio[0, 0]))
@@ -266,6 +266,89 @@ class TestMultiAntenna:
         ch = mu.reduce(qbar)
         np.testing.assert_allclose(ch.h_direct, mu.H_direct[:, :, 0])
         np.testing.assert_allclose(ch.h_irs, mu.H_irs[:, :, 0])
+
+
+class TestVariateStream:
+    """Values drawn from fixed seeds by an earlier release of the samplers.
+
+    Any change to the draw order or the per-path arithmetic moves them. Per
+    draw: the first entry and the total power of the direct, IRS-user and
+    AP-IRS arrays, and the blockage flags. Key (N_u, seed); N_u None is
+    sample_channel_set.
+    """
+
+    PINNED = {
+        (None, 0): (
+            [(-1.019051985592901e-06+6.291114867136633e-06j),
+             (5.064702623535994e-05-4.558952032801831e-05j),
+             (0.00017202456321284133+0.0002040456464690271j)],
+            [1.944074177648313e-10, 4.874849397887792e-08, 1.1396332190645125e-06],
+            [False, True]),
+        (1, 0): (
+            [(9.834873432614403e-06+2.871029492918794e-06j),
+             (0.0004584226370779295-0.00018523872762941655j),
+             (-2.474865755734236e-05+9.107117165647312e-05j)],
+            [8.408691549222642e-10, 1.1484315972579489e-06, 1.4250326972437428e-07],
+            [False, True]),
+        (2, 0): (
+            [(1.2943279308784791e-05+8.561877387954895e-06j),
+             (0.0004905636705716752+6.17412788537239e-05j),
+             (-2.474865755734236e-05+9.107117165647312e-05j)],
+            [8.667715626663977e-10, 2.2968631945158974e-06, 1.4250326972437428e-07],
+            [False, True]),
+        (None, 1): (
+            [(1.525293050150259e-05-1.4365329611332728e-05j),
+             (0.00020140713496996-0.00020909424947756347j),
+             (0.00025310422407024514+2.2480857073874394e-05j)],
+            [2.5883081303013045e-09, 4.7134876547064053e-07, 1.0330741948316293e-06],
+            [False, False]),
+        (1, 1): (
+            [(1.5346963013635028e-05-1.592511710506553e-05j),
+             (-0.0001132882202498505+7.796672707382755e-05j),
+             (-0.0002881898427023164+0.00019200909839678617j)],
+            [6.614672579292804e-09, 8.28898039717828e-08, 1.9187340688629214e-06],
+            [False, False]),
+        (2, 1): (
+            [(1.8347196344249536e-05-1.243180101923327e-05j),
+             (-0.00013596179138998114-2.0674202766022443e-05j),
+             (-0.0002881898427023164+0.00019200909839678617j)],
+            [1.2714594304943555e-08, 1.6577960794356564e-07, 1.9187340688629214e-06],
+            [False, False]),
+        (None, 2): (
+            [(-8.712986890489014e-07+3.660251419663264e-07j),
+             (2.6108972711355197e-05-2.8382787399790867e-05j),
+             (-0.00011912683980213477-0.0002068615545197968j)],
+            [5.004646542656922e-11, 6.444548555985956e-08, 9.117265071934456e-07],
+            [True, True]),
+        (1, 2): (
+            [(-6.241885195852887e-07-2.271167471327857e-07j),
+             (1.0285403860265902e-05-0.0001748961945084589j),
+             (-0.00083332189853148+0.0009087387440615006j)],
+            [2.1949984292394998e-11, 3.5318314136715734e-07, 2.4323703864489335e-05],
+            [True, True]),
+        (2, 2): (
+            [(-8.532315585627353e-07-1.0583699562051242e-06j),
+             (1.1353311096420908e-05-0.00017483011958257461j),
+             (-0.00083332189853148+0.0009087387440615006j)],
+            [4.289723398774482e-11, 7.063662827343146e-07, 2.4323703864489335e-05],
+            [True, True]),
+    }
+
+    def test_samplers_reproduce_pinned_values(self):
+        for (n_u, seed), (firsts, powers, blocked) in self.PINNED.items():
+            cfg = SystemConfig(M=4, N_az=2, N_el=2, K=2, rho_b=0.5, N_u=n_u or 1,
+                               user_xy=((40.0, 40.0), (50.0, -20.0)))
+            rng = np.random.default_rng(seed)
+            if n_u is None:
+                draw = sample_channel_set(cfg, rng)
+                arrays = (draw.h_direct, draw.h_irs, draw.G)
+            else:
+                draw = sample_multi_antenna_channels(cfg, rng)
+                arrays = (draw.H_direct, draw.H_irs, draw.G)
+            np.testing.assert_allclose([x.flat[0] for x in arrays], firsts, rtol=1e-12)
+            np.testing.assert_allclose([np.sum(np.abs(x) ** 2) for x in arrays], powers,
+                                       rtol=1e-12)
+            assert draw.blockage.tolist() == blocked
 
 
 def mu_total_power(mu):

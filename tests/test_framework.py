@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from irsuplink import framework
+from irsuplink import framework, power_detect
 from irsuplink import (
     FrameworkConfig,
     InfeasibleError,
@@ -136,6 +136,33 @@ class TestNonConvergence:
             solve(cfg, ch, prof, FrameworkConfig(beamformer="none"))
         assert len(calls) == failing_call
 
+
+
+class TestOneGatePerQ:
+    @pytest.mark.parametrize("solver", ["none", "fixed-random", "ccmo"])
+    def test_only_the_fixed_point_gates(self, monkeypatch, solver):
+        cfg = small_cfg(K=2, rho_b=0.5)
+        ch, prof = draw(cfg, 3)
+        gate = power_detect.spectral_radius
+        counts = {"direct": 0, "own": 0, "fixed_point": 0}
+
+        def counting(key, fn):
+            def wrapped(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        # the fixed point looks its gate up in power_detect; a framework-level
+        # gate would go through framework.spectral_radius
+        monkeypatch.setattr(power_detect, "spectral_radius", counting("own", gate))
+        monkeypatch.setattr(framework, "spectral_radius", counting("direct", gate),
+                            raising=False)
+        monkeypatch.setattr(framework, "solve_power_fixed_point",
+                            counting("fixed_point", framework.solve_power_fixed_point))
+        solve(cfg, ch, prof, FrameworkConfig(beamformer=solver), np.random.default_rng(0))
+        assert counts["fixed_point"] > 0
+        assert counts["direct"] == 0
+        assert counts["own"] == counts["fixed_point"]
 
 class TestPowerCaps:
     def test_loose_cap_feasible_in_one_round(self):

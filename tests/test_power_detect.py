@@ -6,7 +6,6 @@ from irsuplink import (
     InfeasibleError,
     build_interference,
     mvdr_bank,
-    mvdr_detector,
     solve_power_fixed_point,
     spectral_radius,
 )
@@ -125,7 +124,7 @@ class TestFixedPoint:
 class TestMvdr:
     def test_single_user_matched_filter(self, rng):
         h = crandn(rng, 1, 6)
-        f = mvdr_detector(np.ones(1), h, noise_power=0.37, k=0)
+        f = mvdr_bank(np.ones(1), h, noise_power=0.37)[0]
         np.testing.assert_allclose(f, h[0] / np.linalg.norm(h[0]) ** 2, rtol=1e-12)
         assert abs(np.vdot(f, h[0]) - 1.0) < 1e-12
 
@@ -146,7 +145,7 @@ class TestMvdr:
             for j in range(K):
                 if j != k:
                     R += p[j] * np.outer(h[j], h[j].conj())
-            f = mvdr_detector(p, h, noise, k)
+            f = mvdr_bank(p, h, noise)[k]
             base = np.vdot(f, R @ f).real
             for _ in range(100):
                 g = f + 0.3 * crandn(rng, M)
@@ -169,7 +168,7 @@ class TestMvdr:
 
     def test_requires_positive_noise(self, rng):
         with pytest.raises(ValueError):
-            mvdr_detector(np.ones(1), crandn(rng, 1, 3), 0.0, 0)
+            mvdr_bank(np.ones(1), crandn(rng, 1, 3), 0.0)
 
 
 class TestJointUpdates:
