@@ -6,7 +6,6 @@ from .channel import (
     GainParams,
     PathLossParams,
     path_loss_db,
-    perturb_csi,
     sample_channel_set,
     sample_direct_channel,
     sample_irs_links,
@@ -54,7 +53,6 @@ from .framework import (
     FrameworkConfig,
     solve,
     solve_multi_antenna,
-    solve_with_power_caps,
 )
 from .experiments import (
     ExperimentSpec,

@@ -38,25 +38,18 @@ class SingularDenominatorError(ValueError):
 
 @dataclass(frozen=True)
 class FractionalObjective:
-    """Coefficients of the sum-of-inverse-SINR objective at fixed (p, F).
-
-    weights scale each user's ratio (all ones unless a power-cap penalty
-    loop is active).
-    """
+    """Coefficients of the sum-of-inverse-SINR objective at fixed (p, F)."""
 
     coeffs: EffectiveCoeffs
     p: np.ndarray
     Ttilde: np.ndarray
     noise_power: float
-    weights: np.ndarray | None = None
-    _wT: np.ndarray = field(init=False, repr=False)
     _noise: np.ndarray = field(init=False, repr=False)
     _mask: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         k = self.p.shape[0]
-        w = np.ones(k) if self.weights is None else np.asarray(self.weights, dtype=float)
-        object.__setattr__(self, "_wT", w * np.asarray(self.Ttilde, dtype=float))
+        object.__setattr__(self, "Ttilde", np.asarray(self.Ttilde, dtype=float))
         object.__setattr__(self, "_noise", self.noise_power * self.coeffs.f_norm_sq)
         object.__setattr__(self, "_mask", 1.0 - np.eye(k))
 
@@ -69,7 +62,7 @@ class FractionalObjective:
         S = self.coeffs.signal_matrix(theta)
         s2 = np.abs(S) ** 2
         interf = (s2 * self._mask) @ self.p
-        A = self._wT * (interf + self._noise)
+        A = self.Ttilde * (interf + self._noise)
         B = np.diag(s2).copy()
         return A, B
 
@@ -99,12 +92,12 @@ class FractionalObjective:
         S = self.coeffs.signal_matrix(theta)
         s2 = np.abs(S) ** 2
         interf = (s2 * self._mask) @ self.p
-        A = self._wT * (interf + self._noise)
+        A = self.Ttilde * (interf + self._noise)
         val = float(np.sum(beta * A**2))
-        # dA_k/dtheta* = wT_k sum_{j!=k} p_j s_kj g_kj
+        # dA_k/dtheta* = T~_k sum_{j!=k} p_j s_kj g_kj
         weights = (self._mask * S) * self.p[None, :]
         inner = np.einsum("kj,kjn->kn", weights, self.coeffs.g)
-        grad = 4.0 * np.einsum("k,kn->n", beta * A * self._wT, inner)
+        grad = 4.0 * np.einsum("k,kn->n", beta * A * self.Ttilde, inner)
         return val, grad
 
     def _jb_value_grad(self, q: np.ndarray, beta: np.ndarray):

@@ -55,30 +55,28 @@ class QuadraticForm:
         return -(self.value(theta) - self.C)
 
 
-def assemble_quadratic(coeffs: EffectiveCoeffs, p, Ttilde, noise_power: float,
-                       weights=None) -> QuadraticForm:
-    """Collect the (optionally weighted) residual sum into (U, v, C)."""
+def assemble_quadratic(coeffs: EffectiveCoeffs, p, Ttilde, noise_power: float) -> QuadraticForm:
+    """Collect the latency-residual sum into (U, v, C)."""
     p = np.asarray(p, dtype=float)
     Ttilde = np.asarray(Ttilde, dtype=float)
     k = p.shape[0]
-    w = np.ones(k) if weights is None else np.asarray(weights, dtype=float)
     idx = np.arange(k)
     gdiag = coeffs.g[idx, idx]  # (K, N)
     bdiag = coeffs.b[idx, idx]  # (K,)
     mask = 1.0 - np.eye(k)
-    cross = (w * Ttilde)[:, None] * p[None, :] * mask  # (K, K) interference weights
+    cross = Ttilde[:, None] * p[None, :] * mask  # (K, K) interference weights
 
-    U = np.einsum("k,kn,km->nm", w * p, gdiag, gdiag.conj())
+    U = np.einsum("k,kn,km->nm", p, gdiag, gdiag.conj())
     U -= np.einsum("kj,kjn,kjm->nm", cross, coeffs.g, coeffs.g.conj())
     U = 0.5 * (U + U.conj().T)
 
-    v = np.einsum("k,k,kn->n", w * p, bdiag, gdiag)
+    v = np.einsum("k,k,kn->n", p, bdiag, gdiag)
     v -= np.einsum("kj,kj,kjn->n", cross, coeffs.b, coeffs.g)
 
     b2 = np.abs(coeffs.b) ** 2
-    C = float(np.sum(w * p * np.abs(bdiag) ** 2)
+    C = float(np.sum(p * np.abs(bdiag) ** 2)
               - np.sum(cross * b2)
-              - np.sum(w * Ttilde * noise_power * coeffs.f_norm_sq))
+              - np.sum(Ttilde * noise_power * coeffs.f_norm_sq))
     return QuadraticForm(U=U, v=v, C=C)
 
 

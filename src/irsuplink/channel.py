@@ -34,7 +34,6 @@ __all__ = [
     "sample_irs_links",
     "sample_channel_set",
     "sample_multi_antenna_channels",
-    "perturb_csi",
 ]
 
 
@@ -286,21 +285,3 @@ def sample_multi_antenna_channels(cfg, rng: np.random.Generator) -> MultiAntenna
     variate count does not depend on N_u (AoD sines are always drawn).
     """
     return MultiAntennaChannels(*_sample_links(cfg, cfg.N_u, rng))
-
-
-def perturb_csi(h: np.ndarray, mu: float, rng: np.random.Generator) -> np.ndarray:
-    """Bounded channel error: h + dh with ||dh|| <= mu ||h||.
-
-    dh is a uniform direction on the complex sphere scaled by a uniform
-    radius in [0, mu ||h||].
-    """
-    if mu < 0:
-        raise ValueError(f"mu must be nonnegative, got {mu}")
-    if mu == 0:
-        return h.copy()
-    d = rng.standard_normal(h.shape) + 1j * rng.standard_normal(h.shape)
-    nrm = np.linalg.norm(d)
-    if nrm == 0.0:
-        return h.copy()
-    radius = rng.uniform() * mu * np.linalg.norm(h)
-    return h + (radius / nrm) * d

@@ -1,17 +1,16 @@
 """Alternating optimization over powers, detectors and IRS phases.
 
-One outer iteration refreshes the powers at the current (F, theta), then
-block-coordinate sweeps: MVDR detectors, a passive-beamforming update,
-and an inner power refresh, until the total power settles. Every phase
-(and transmit-beamformer) candidate is acceptance-gated: it is kept only
-if the re-solved fixed-point total power does not increase and the
-spectral-radius condition still holds, which makes the recorded total
-power nonincreasing across outer iterations by construction.
+One outer iteration runs block-coordinate sweeps: MVDR detectors, a
+passive-beamforming update, and an exact power solve, until the total
+power settles. Every phase (and transmit-beamformer) candidate is
+acceptance-gated: it is kept only if the re-solved total power does not
+increase and the spectral-radius condition still holds, which makes the
+recorded total power nonincreasing across outer iterations by
+construction.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,16 +33,13 @@ from .system import (
     SystemConfig,
     effective_channel,
     effective_coeffs,
-    sinr,
 )
 
 __all__ = [
     "FrameworkConfig",
     "ConvergenceTrace",
-    "PowerCapResult",
     "solve",
     "solve_multi_antenna",
-    "solve_with_power_caps",
 ]
 
 BEAMFORMERS = ("ccmo", "admm", "none", "fixed-random")
@@ -74,11 +70,6 @@ class ConvergenceTrace:
     """Per-outer-iteration records."""
 
     sum_power: list = field(default_factory=list)
-    powers: list = field(default_factory=list)
-    sinrs: list = field(default_factory=list)
-    beamformer_objective: list = field(default_factory=list)
-    wall_clock_s: list = field(default_factory=list)
-    power_residuals: list = field(default_factory=list)  # (outer refresh, last inner refresh)
     converged: bool = False
     outer_iterations: int = 0
 
@@ -99,36 +90,25 @@ def _initial_theta_candidates(beamformer: str, n: int, rng: np.random.Generator)
     return cands
 
 
-def _resolve(ch, Ttilde, F, theta, noise, p_warm):
-    """Fixed-point powers for a candidate theta at the current detectors,
-    or None when the candidate is infeasible/degenerate/not converged."""
+def _resolve(ch, Ttilde, F, theta, noise):
+    """Exact powers for a candidate theta at the current detectors, or None
+    when the candidate is infeasible or degenerate."""
     h_eff = effective_channel(ch, theta)
     try:
         im = build_interference(Ttilde, F, h_eff, noise)
-        rep = solve_power_fixed_point(im.Q, im.tau, p0=p_warm)
+        p = solve_power_fixed_point(im.Q, im.tau).p
     except (DegenerateDetectorError, InfeasibleError):
         return None
-    if not rep.converged:
-        return None
-    return rep.p, h_eff, im
-
-
-def _converged(rep):
-    """The fixed-point powers; a non-converged fixed point is never passed on."""
-    if not rep.converged:
-        raise InfeasibleError(f"power fixed point did not converge in {rep.iterations} iterations")
-    return rep.p
+    return p, h_eff
 
 
 def solve(cfg: SystemConfig, channels: ChannelSet, profile: LatencyProfile,
-          fw: FrameworkConfig | None = None, rng: np.random.Generator | None = None,
-          weights: np.ndarray | None = None):
+          fw: FrameworkConfig | None = None, rng: np.random.Generator | None = None):
     """Minimize the total uplink power subject to per-user deadlines.
 
     Returns (SolverState, ConvergenceTrace). Raises InfeasibleError when no
-    initial phase candidate passes the spectral-radius gate, or when a power
-    fixed point of the current iterate does not converge. ``weights``
-    scale the per-user terms of the beamformer objectives (power-cap loop).
+    initial phase candidate passes the spectral-radius gate, or when the
+    current iterate fails it after a detector update.
     """
     fw = fw or FrameworkConfig()
     if rng is None:
@@ -137,17 +117,16 @@ def solve(cfg: SystemConfig, channels: ChannelSet, profile: LatencyProfile,
     Ttilde = profile.Ttilde
     ch = channels.without_irs() if fw.beamformer == "none" else channels
     n = ch.num_irs_elements
-    t0 = time.perf_counter()
 
-    # the first candidate whose fixed point passes its spectral-radius gate;
-    # that fixed point is the first outer power refresh
+    # the first candidate whose power solve passes its spectral-radius gate;
+    # those powers start the first outer iteration
     theta = None
     for cand in _initial_theta_candidates(fw.beamformer, n, rng):
         h_eff = effective_channel(ch, cand)
         try:
             F = _matched_filters(h_eff)
             im = build_interference(Ttilde, F, h_eff, noise)
-            rep = solve_power_fixed_point(im.Q, im.tau)
+            p = solve_power_fixed_point(im.Q, im.tau).p
         except (DegenerateDetectorError, InfeasibleError):
             continue
         theta = cand
@@ -159,52 +138,39 @@ def solve(cfg: SystemConfig, channels: ChannelSet, profile: LatencyProfile,
     prev_outer_sum = np.inf
     first_beam_call = True
     beam_stale = 0  # consecutive negligible theta updates; 2 freezes the beamformer
-    beam_obj = float("nan")
     for t in range(1, MAX_OUTER + 1):
-        if t > 1:
-            rep = solve_power_fixed_point(im.Q, im.tau, p0=p)
-        p = _converged(rep)
-        outer_resid = float(np.max(np.abs(p - (im.Q @ p + im.tau))))
-        inner_resid = outer_resid
+        # p is already the exact solve at the current (F, theta)
         prev_inner_sum = float(np.sum(p))
         for _ in range(MAX_INNER):
             F = mvdr_bank(p, h_eff, noise)
             if fw.beamformer in ("ccmo", "admm") and n > 0 and beam_stale < 2:
                 coeffs = effective_coeffs(ch, F)
-                cand, beam_obj = _beamformer_candidate(
-                    fw, coeffs, p, Ttilde, noise, weights, theta, first_beam_call, rng
-                )
+                cand = _beamformer_candidate(fw, coeffs, p, Ttilde, noise, theta,
+                                             first_beam_call, rng)
                 first_beam_call = False
-                base = _resolve(ch, Ttilde, F, theta, noise, p)
-                trial = _resolve(ch, Ttilde, F, cand, noise, p)
+                base = _resolve(ch, Ttilde, F, theta, noise)
+                trial = _resolve(ch, Ttilde, F, cand, noise)
                 if base is None:
                     raise InfeasibleError("current iterate became infeasible")
                 base_sum = float(np.sum(base[0]))
                 if trial is not None and float(np.sum(trial[0])) <= base_sum:
                     theta = cand
-                    p, h_eff, im = trial
+                    p, h_eff = trial
                     gain = base_sum - float(np.sum(p))
                     beam_stale = beam_stale + 1 if gain <= INNER_TOL * base_sum else 0
                 else:
-                    p, h_eff, im = base
+                    p, h_eff = base
                     beam_stale += 1
             else:
                 h_eff = effective_channel(ch, theta)
                 im = build_interference(Ttilde, F, h_eff, noise)
-                p = _converged(solve_power_fixed_point(im.Q, im.tau, p0=p))
-            inner_resid = float(np.max(np.abs(p - (im.Q @ p + im.tau))))
+                p = solve_power_fixed_point(im.Q, im.tau).p
             s = float(np.sum(p))
             if abs(s - prev_inner_sum) <= INNER_TOL * max(prev_inner_sum, s, 1e-300):
                 break
             prev_inner_sum = s
         s = float(np.sum(p))
-        state = SolverState(p=p, F=F, theta=theta, h_eff=h_eff)
         trace.sum_power.append(s)
-        trace.powers.append(p.copy())
-        trace.sinrs.append(np.array([sinr(state, noise, k) for k in range(cfg.K)]))
-        trace.beamformer_objective.append(beam_obj)
-        trace.wall_clock_s.append(time.perf_counter() - t0)
-        trace.power_residuals.append((outer_resid, inner_resid))
         trace.outer_iterations = t
         if np.isfinite(prev_outer_sum) and \
                 abs(s - prev_outer_sum) <= OUTER_TOL * max(prev_outer_sum, s, 1e-300):
@@ -214,54 +180,16 @@ def solve(cfg: SystemConfig, channels: ChannelSet, profile: LatencyProfile,
     return SolverState(p=p, F=F, theta=theta, h_eff=h_eff), trace
 
 
-def _beamformer_candidate(fw, coeffs, p, Ttilde, noise, weights, theta, first_call, rng):
-    """One passive-beamforming update; returns (candidate theta, objective value)."""
+def _beamformer_candidate(fw, coeffs, p, Ttilde, noise, theta, first_call, rng):
+    """One passive-beamforming update; returns the candidate theta."""
     if fw.beamformer == "ccmo":
-        form = assemble_quadratic(coeffs, p, Ttilde, noise, weights)
+        form = assemble_quadratic(coeffs, p, Ttilde, noise)
         starts = [theta, aligned_phases(coeffs)] if first_call and p.shape[0] == 1 else theta
-        best = optimize_phases(form, starts, restarts=RESTARTS if first_call else 0, rng=rng,
-                               max_iter=CCMO_MAX_ITER, tol=CCMO_TOL)
-        return best.theta, best.residual_value
-    objective = FractionalObjective(coeffs, p, Ttilde, noise, weights)
-    res = run_admm(objective, theta, max_outer=ADMM_MAX_OUTER,
-                   max_inner=ADMM_MAX_INNER, tol_consensus=ADMM_TOL_CONSENSUS)
-    return res.theta, res.value
-
-
-@dataclass(frozen=True)
-class PowerCapResult:
-    state: SolverState
-    trace: ConvergenceTrace
-    feasible: bool
-    rounds: int
-    weights: np.ndarray
-    reason: str
-
-
-def solve_with_power_caps(cfg: SystemConfig, channels: ChannelSet, profile: LatencyProfile,
-                          p_max: float, fw: FrameworkConfig | None = None,
-                          rng: np.random.Generator | None = None,
-                          max_rounds: int = 20) -> PowerCapResult:
-    """Per-user power limits via penalizing weights w_k = max(p_k, P)/P on
-    the beamformer objectives, re-solving until all p_k <= P or the round
-    cap is hit."""
-    if p_max <= 0:
-        raise ValueError(f"power cap must be positive, got {p_max}")
-    fw = fw or FrameworkConfig()
-    if rng is None:
-        rng = np.random.default_rng(0)
-    w = np.ones(cfg.K)
-    state = trace = None
-    for rounds in range(1, max_rounds + 1):
-        state, trace = solve(cfg, channels, profile, fw, rng, weights=w)
-        if np.all(state.p <= p_max * (1.0 + 1e-6)):
-            return PowerCapResult(state, trace, True, rounds, w, "all users within the cap")
-        w_new = np.maximum(state.p, p_max) / p_max
-        if np.allclose(w_new, w, rtol=1e-12, atol=0.0):
-            return PowerCapResult(state, trace, False, rounds, w,
-                                  "weights stopped changing with caps still violated")
-        w = w_new
-    return PowerCapResult(state, trace, False, max_rounds, w, "round cap reached")
+        return optimize_phases(form, starts, restarts=RESTARTS if first_call else 0, rng=rng,
+                               max_iter=CCMO_MAX_ITER, tol=CCMO_TOL).theta
+    objective = FractionalObjective(coeffs, p, Ttilde, noise)
+    return run_admm(objective, theta, max_outer=ADMM_MAX_OUTER,
+                    max_inner=ADMM_MAX_INNER, tol_consensus=ADMM_TOL_CONSENSUS).theta
 
 
 def solve_multi_antenna(cfg: SystemConfig, mu_channels: MultiAntennaChannels,

@@ -1,11 +1,10 @@
-"""Closed-form inner loop: fixed-point power control and MVDR detection.
+"""Closed-form inner loop: exact power control and MVDR detection.
 
 With detectors and phases held fixed, the latency constraints read
 (I - Q) p >= tau with Q[i, j] = T~_i |f_i^H h_j|^2 / |f_i^H h_i|^2 (zero
 diagonal) and tau_i = sigma^2 T~_i ||f_i||^2 / |f_i^H h_i|^2. When the
-spectral radius of Q is below one, iterating p <- Q p + tau converges to
-the unique componentwise-minimal feasible power vector (I - Q)^{-1} tau
-from any starting point.
+spectral radius of Q is below one, the unique componentwise-minimal
+feasible power vector is (I - Q)^{-1} tau, found by one K x K solve.
 """
 
 from __future__ import annotations
@@ -27,8 +26,7 @@ __all__ = [
 
 
 class InfeasibleError(Exception):
-    """The SINR targets cannot all be met (spectral radius of Q >= 1), or the
-    power fixed point did not converge within its iteration cap."""
+    """The SINR targets cannot all be met (spectral radius of Q >= 1)."""
 
 
 class DegenerateDetectorError(ValueError):
@@ -46,9 +44,9 @@ class InterferenceMatrix:
 @dataclass(frozen=True)
 class PowerSolveReport:
     p: np.ndarray
-    iterations: int
-    spectral_radius_estimate: float
-    converged: bool
+    # the solve is exact; both stay only for the bench/tracing.py fixed-point span
+    iterations: int = 1
+    converged: bool = True
 
 
 def build_interference(Ttilde, F: np.ndarray, h_eff: np.ndarray, noise_power: float) -> InterferenceMatrix:
@@ -71,31 +69,17 @@ def spectral_radius(Q: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(Q))))
 
 
-def solve_power_fixed_point(
-    Q: np.ndarray,
-    tau: np.ndarray,
-    p0: np.ndarray | None = None,
-    tol: float = 1e-12,
-    max_iter: int = 10_000,
-) -> PowerSolveReport:
-    """Iterate p <- Q p + tau to the minimal feasible power vector.
+def solve_power_fixed_point(Q: np.ndarray, tau: np.ndarray) -> PowerSolveReport:
+    """The minimal feasible power vector (I - Q)^{-1} tau, the fixed point
+    of p <- Q p + tau.
 
-    Raises InfeasibleError when rho(Q), computed exactly, is not below
-    one. Convergence is declared on the relative inf-norm residual
-    ||p - (Q p + tau)||_inf / ||p||_inf <= tol.
+    Raises InfeasibleError when rho(Q), computed exactly, is not below one.
     """
     tau = np.asarray(tau, dtype=float)
     rho = spectral_radius(Q)
     if rho >= 1.0:
         raise InfeasibleError(f"spectral radius {rho:.6f} >= 1")
-    p = tau.copy() if p0 is None else np.asarray(p0, dtype=float).copy()
-    for it in range(1, max_iter + 1):
-        p_next = Q @ p + tau
-        scale = np.max(np.abs(p_next))
-        if scale == 0.0 or np.max(np.abs(p_next - p)) <= tol * scale:
-            return PowerSolveReport(p=p_next, iterations=it, spectral_radius_estimate=rho, converged=True)
-        p = p_next
-    return PowerSolveReport(p=p, iterations=max_iter, spectral_radius_estimate=rho, converged=False)
+    return PowerSolveReport(p=np.linalg.solve(np.eye(tau.size) - Q, tau))
 
 
 def mvdr_bank(p, h_eff: np.ndarray, noise_power: float) -> np.ndarray:

@@ -84,6 +84,18 @@ def feasible_power_instance(rng, K=3, M=8, rho_target=0.85, noise=1.0):
     return h_eff, F, Ttilde, noise
 
 
+def iterate_fixed_point(Q, tau, p0, max_iter=10_000):
+    """Run p <- Q p + tau from p0 until successive iterates agree to 1e-15
+    relative (inf-norm), or for max_iter steps."""
+    p = np.asarray(p0, dtype=float)
+    for _ in range(max_iter):
+        p_next = Q @ p + tau
+        if np.max(np.abs(p_next - p)) <= 1e-15 * np.max(np.abs(p_next)):
+            return p_next
+        p = p_next
+    return p
+
+
 def consistent_state(rng, ch, Ttilde=None, noise=1.0, p=None, theta=None):
     """SolverState with MVDR detectors and cached effective channels."""
     K, _ = ch.h_direct.shape

@@ -8,7 +8,6 @@ from irsuplink import (
     PathLossParams,
     SystemConfig,
     path_loss_db,
-    perturb_csi,
     sample_channel_set,
     sample_direct_channel,
     sample_irs_links,
@@ -353,27 +352,3 @@ class TestVariateStream:
 
 def mu_total_power(mu):
     return sum(np.linalg.norm(mu.H_direct[k]) ** 2 for k in range(mu.H_direct.shape[0]))
-
-
-class TestPerturbCsi:
-    def test_zero_level_is_identity(self, rng):
-        h = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        np.testing.assert_array_equal(perturb_csi(h, 0.0, rng), h)
-
-    def test_bound_always_holds(self, rng):
-        h = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        mu = 0.3
-        for _ in range(1000):
-            d = perturb_csi(h, mu, rng) - h
-            assert np.linalg.norm(d) <= mu * np.linalg.norm(h) * (1 + 1e-12)
-
-    def test_mean_relative_error_inside_interval(self, rng):
-        h = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        mu = 0.2
-        errs = [np.linalg.norm(perturb_csi(h, mu, rng) - h) / np.linalg.norm(h)
-                for _ in range(1000)]
-        assert 0.0 < np.mean(errs) < mu
-
-    def test_negative_level_rejected(self, rng):
-        with pytest.raises(ValueError):
-            perturb_csi(np.ones(3, complex), -0.1, rng)

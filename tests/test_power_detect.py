@@ -9,7 +9,7 @@ from irsuplink import (
     solve_power_fixed_point,
     spectral_radius,
 )
-from conftest import crandn, feasible_power_instance
+from conftest import crandn, feasible_power_instance, iterate_fixed_point
 
 
 class TestBuildInterference:
@@ -99,10 +99,20 @@ class TestFixedPoint:
     def test_start_point_does_not_matter(self, rng):
         h_eff, F, Tt, noise = feasible_power_instance(rng)
         im = build_interference(Tt, F, h_eff, noise)
-        p_ref = solve_power_fixed_point(im.Q, im.tau, p0=np.zeros_like(im.tau)).p
-        for p0 in (10 * im.tau, rng.uniform(0, 5, im.tau.size)):
-            p = solve_power_fixed_point(im.Q, im.tau, p0=p0).p
+        p_ref = solve_power_fixed_point(im.Q, im.tau).p
+        for p0 in (np.zeros_like(im.tau), 10 * im.tau, rng.uniform(0, 5, im.tau.size)):
+            p = iterate_fixed_point(im.Q, im.tau, p0)
             np.testing.assert_allclose(p, p_ref, rtol=1e-8)
+
+    @pytest.mark.parametrize("gap", [1e-3, 1e-6])
+    def test_exact_just_below_unit_radius(self, gap):
+        # rho(Q) = sqrt(ab) = 1 - gap: feasible, however slowly p <- Q p + tau converges
+        a = 2.0
+        b = (1.0 - gap) ** 2 / a
+        tau = np.array([1.0, 2.0])
+        p = solve_power_fixed_point(np.array([[0.0, a], [b, 0.0]]), tau).p
+        expect = np.array([tau[0] + a * tau[1], tau[1] + b * tau[0]]) / (1.0 - a * b)
+        np.testing.assert_allclose(p, expect, rtol=1e-9)
 
     def test_monotone_from_zero(self, rng):
         h_eff, F, Tt, noise = feasible_power_instance(rng)
@@ -191,5 +201,5 @@ class TestJointUpdates:
             p_before = solve_power_fixed_point(im.Q, im.tau).p
             F2 = mvdr_bank(p_before, h_eff, noise)
             im2 = build_interference(Tt, F2, h_eff, noise)
-            p_after = solve_power_fixed_point(im2.Q, im2.tau, p0=p_before).p
+            p_after = solve_power_fixed_point(im2.Q, im2.tau).p
             assert p_after.sum() <= p_before.sum() * (1 + 1e-10)
