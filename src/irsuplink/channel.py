@@ -158,7 +158,8 @@ def ula_steering(m: int, direction: float) -> np.ndarray:
 
 
 def _ura(n_az: int, n_el: int, az: float, el: float) -> np.ndarray:
-    return np.kron(_ula(n_az, az), _ula(n_el, el))
+    # element i * n_el + j is a_i b_j, as in np.kron(a, b)
+    return np.multiply.outer(_ula(n_az, az), _ula(n_el, el)).ravel()
 
 
 def ura_steering(n_az: int, n_el: int, az: float, el: float) -> np.ndarray:

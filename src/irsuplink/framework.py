@@ -161,8 +161,7 @@ def solve(cfg: SystemConfig, channels: ChannelSet, profile: LatencyProfile,
                 else:
                     p, h_eff = base
                     beam_stale += 1
-            else:
-                h_eff = effective_channel(ch, theta)
+            else:  # theta is unchanged, and so is h_eff
                 im = build_interference(Ttilde, F, h_eff, noise)
                 p = solve_power_fixed_point(im.Q, im.tau).p
             s = float(np.sum(p))
@@ -217,23 +216,15 @@ def solve_multi_antenna(cfg: SystemConfig, mu_channels: MultiAntennaChannels,
 
     noise = cfg.noise_power
     for _ in range(max_rounds):
-        cand = np.empty_like(qbar)
         theta = state.theta
-        h_eff_mats = [  # theta is empty when solved without the IRS
-            mu_channels.H_direct[k] + mu_channels.G @ (theta[:, None] * mu_channels.H_irs[k])
-            if theta.size else mu_channels.H_direct[k]
-            for k in range(k_users)
-        ]
-        # w[j, k] = (H_eff,k)^H f_j: user k's channel seen by detector j
-        w = np.array([[h_eff_mats[k].conj().T @ state.F[j] for k in range(k_users)]
-                      for j in range(k_users)])
-        for k in range(k_users):
-            R = noise * np.eye(n_u, dtype=complex)
-            for j in range(k_users):
-                if j != k:
-                    R += state.p[j] * np.outer(w[j, k], w[j, k].conj())
-            x = np.linalg.solve(R, w[k, k])
-            cand[k] = x / np.linalg.norm(x)
+        H_eff = mu_channels.H_direct  # theta is empty when solved without the IRS
+        if theta.size:
+            H_eff = H_eff + mu_channels.G @ (theta[:, None] * mu_channels.H_irs)
+        # w[k, j] = (H_eff,k)^H f_j: user k's channel seen by detector j
+        w = np.einsum("kmu,jm->kju", H_eff.conj(), state.F)
+        # row k of the bank over w[k] is parallel to R_k^{-1} w[k, k] (Sherman-Morrison)
+        cand = np.array([mvdr_bank(state.p, w[k], noise)[k] for k in range(k_users)])
+        cand /= np.linalg.norm(cand, axis=1, keepdims=True)
         try:
             state_c, trace_c = solve(cfg, mu_channels.reduce(cand), profile, fw, rng)
         except InfeasibleError:

@@ -4,7 +4,8 @@ With detectors and phases held fixed, the latency constraints read
 (I - Q) p >= tau with Q[i, j] = T~_i |f_i^H h_j|^2 / |f_i^H h_i|^2 (zero
 diagonal) and tau_i = sigma^2 T~_i ||f_i||^2 / |f_i^H h_i|^2. When the
 spectral radius of Q is below one, the unique componentwise-minimal
-feasible power vector is (I - Q)^{-1} tau, found by one K x K solve.
+feasible power vector is (I - Q)^{-1} tau. Every step costs O(K^2 M):
+no M x M matrix is built and no eigen-decomposition is taken.
 """
 
 from __future__ import annotations
@@ -65,7 +66,8 @@ def build_interference(Ttilde, F: np.ndarray, h_eff: np.ndarray, noise_power: fl
 
 
 def spectral_radius(Q: np.ndarray) -> float:
-    """Exact dominant eigenvalue magnitude of the K x K coupling matrix."""
+    """Exact dominant eigenvalue magnitude of the K x K coupling matrix: the
+    reference for the power solve's pivot gate in tests, not on the solve path."""
     return float(np.max(np.abs(np.linalg.eigvals(Q))))
 
 
@@ -73,32 +75,51 @@ def solve_power_fixed_point(Q: np.ndarray, tau: np.ndarray) -> PowerSolveReport:
     """The minimal feasible power vector (I - Q)^{-1} tau, the fixed point
     of p <- Q p + tau.
 
-    Raises InfeasibleError when rho(Q), computed exactly, is not below one.
+    I - Q is a Z-matrix, and it is a nonsingular M-matrix (for I - Q:
+    rho(Q) < 1) exactly when its leading principal minors, and so the
+    pivots of elimination without pivoting, are all positive. The solve is
+    therefore the exact gate: it raises InfeasibleError at the first pivot
+    that is not positive.
     """
-    tau = np.asarray(tau, dtype=float)
-    rho = spectral_radius(Q)
-    if rho >= 1.0:
-        raise InfeasibleError(f"spectral radius {rho:.6f} >= 1")
-    return PowerSolveReport(p=np.linalg.solve(np.eye(tau.size) - Q, tau))
+    a = (-np.asarray(Q, dtype=float)).tolist()  # rows of I - Q once the diagonal gets +1
+    b = np.asarray(tau, dtype=float).tolist()
+    k = len(b)
+    for i in range(k):
+        a[i][i] += 1.0
+    for i in range(k):
+        pivot = a[i][i]
+        if not pivot > 0.0:
+            raise InfeasibleError(f"pivot {i} of I - Q is {pivot:.6g}: spectral radius >= 1")
+        for r in range(i + 1, k):
+            ratio = a[r][i] / pivot
+            for c in range(i + 1, k):
+                a[r][c] -= ratio * a[i][c]
+            b[r] -= ratio * b[i]
+    p = [0.0] * k
+    for i in reversed(range(k)):
+        p[i] = (b[i] - sum(a[i][c] * p[c] for c in range(i + 1, k))) / a[i][i]
+    return PowerSolveReport(p=np.array(p))
 
 
 def mvdr_bank(p, h_eff: np.ndarray, noise_power: float) -> np.ndarray:
     """All K MVDR detectors f_k = R_k^{-1} h_k / (h_k^H R_k^{-1} h_k), stacked
-    as rows, from one linear solve. R_k sums the interferers' weighted outer
-    products plus the noise loading; each row satisfies f_k^H h_k = 1.
+    as rows. R_k sums the interferers' weighted outer products plus the
+    noise loading; each row satisfies f_k^H h_k = 1.
 
     The full covariance R = sigma^2 I + sum_j p_j h_j h_j^H differs from
     user k's interference-plus-noise covariance R_k by p_k h_k h_k^H, so by
     Sherman-Morrison R^{-1} h_k is parallel to R_k^{-1} h_k. Normalizing
     each column of R^{-1} H^T to f_k^H h_k = 1 therefore gives the same
-    detectors as K separate solves.
+    detectors as K separate solves. With A = H^* H^T the K x K Gram matrix
+    of the rows h_k, Woodbury gives R^{-1} H^T = H^T (sigma^2 I + diag(p) A)^{-1}:
+    one K x K solve, nonsingular also when A is (M < K).
     """
     if noise_power <= 0:
         raise ValueError(f"noise power must be positive, got {noise_power}")
     p = np.asarray(p, dtype=float)
-    m = h_eff.shape[1]
-    R = noise_power * np.eye(m, dtype=complex) + (h_eff.T * p) @ h_eff.conj()
-    X = np.linalg.solve(R, h_eff.T)
+    # (sigma^2 I + diag(p) A)^T, as A^T = H H^H
+    system_t = (h_eff @ h_eff.conj().T) * p + noise_power * np.eye(p.size)
+    X = np.linalg.solve(system_t, h_eff)  # row k is R^{-1} h_k
     # h_k^H R^{-1} h_k; complex division makes f^H h = 1 exact
-    denom = np.sum(h_eff.conj() * X.T, axis=1)
-    return (X / denom).T
+    denom = np.sum(h_eff.conj() * X, axis=1)
+    return X / denom[:, None]

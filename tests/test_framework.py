@@ -139,7 +139,7 @@ class TestOneGatePerQ:
         solve(cfg, ch, prof, FrameworkConfig(beamformer=solver), np.random.default_rng(0))
         assert counts["fixed_point"] > 0
         assert counts["direct"] == 0
-        assert counts["own"] == counts["fixed_point"]
+        assert counts["own"] == 0  # the solve gates on its pivots, not on eigenvalues
 
     @pytest.mark.parametrize("solver", ["none", "fixed-random"])
     def test_one_power_solve_per_mvdr_update(self, monkeypatch, solver):
@@ -168,7 +168,7 @@ class TestGolden:
         (2, "none", [3.0162633276329626e-06, 0.00011563618412500794], 2),
         (2, "fixed-random", [3.0097960584343948e-06, 4.036432486556494e-05], 2),
         (2, "ccmo", [3.000844273154635e-06, 5.647228206427589e-06], 2),
-        (2, "admm", [3.0008826494290933e-06, 5.647251502469715e-06], 3),
+        (2, "admm", [3.0008826493734505e-06, 5.64725150246065e-06], 3),
     ])
     def test_solve(self, K, solver, p, outer):
         cfg = small_cfg(K=K, rho_b=1.0)
@@ -230,6 +230,29 @@ class TestMultiAntenna:
         np.testing.assert_allclose(st.h_eff, direct, rtol=1e-12)
         for k in range(2):
             assert np.linalg.norm(qbar[k]) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.xfail(strict=True, reason="fixed-random draws new phases in every solve call")
+    def test_fixed_random_holds_phases_across_rounds(self, monkeypatch):
+        # a transmit-beamformer candidate should be judged under the phases it
+        # was computed for; this draw runs at least one transmit round
+        cfg = small_cfg(K=2, rho_b=1.0, n_u=2)
+        mu = sample_multi_antenna_channels(cfg, np.random.default_rng([0, 0]))
+        prof = LatencyProfile.from_data(
+            np.random.default_rng([0, 1]).uniform(5000, 8000, 2), cfg.W, cfg.T)
+        thetas = []
+        inner = framework.solve
+
+        def spy(*args, **kwargs):
+            st, tr = inner(*args, **kwargs)
+            thetas.append(st.theta)
+            return st, tr
+
+        monkeypatch.setattr(framework, "solve", spy)
+        solve_multi_antenna(cfg, mu, prof, FrameworkConfig(beamformer="fixed-random"),
+                            np.random.default_rng(0))
+        assert len(thetas) >= 2
+        for theta in thetas[1:]:
+            np.testing.assert_array_equal(theta, thetas[0])
 
     def test_extra_antennas_do_not_hurt(self):
         cfg2 = small_cfg(K=2, rho_b=1.0, n_u=2)

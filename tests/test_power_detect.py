@@ -114,6 +114,31 @@ class TestFixedPoint:
         expect = np.array([tau[0] + a * tau[1], tau[1] + b * tau[0]]) / (1.0 - a * b)
         np.testing.assert_allclose(p, expect, rtol=1e-9)
 
+    @pytest.mark.parametrize("excess", [1e-3, 1e-6])
+    def test_infeasible_just_above_unit_radius(self, excess):
+        # rho(Q) = sqrt(ab) = 1 + excess
+        a = 2.0
+        b = (1.0 + excess) ** 2 / a
+        with pytest.raises(InfeasibleError):
+            solve_power_fixed_point(np.array([[0.0, a], [b, 0.0]]), np.array([1.0, 2.0]))
+
+    @pytest.mark.parametrize("rho", [0.5, 1 - 1e-9, 1 + 1e-9, 2.0])
+    @pytest.mark.parametrize("K", [3, 4])
+    def test_gate_agrees_with_spectral_radius(self, rng, K, rho):
+        for draw in range(10):
+            q = rng.uniform(0, 1, (K, K))
+            np.fill_diagonal(q, 0.0)
+            q *= rho / spectral_radius(q)
+            tau = rng.uniform(0.1, 1.0, K)
+            if draw == 0:
+                tau[-1] = 0.0
+            if spectral_radius(q) >= 1.0:
+                with pytest.raises(InfeasibleError):
+                    solve_power_fixed_point(q, tau)
+            else:
+                # (I - Q)^{-1} >= 0 for a nonsingular M-matrix
+                assert np.all(solve_power_fixed_point(q, tau).p >= 0.0)
+
     def test_monotone_from_zero(self, rng):
         h_eff, F, Tt, noise = feasible_power_instance(rng)
         im = build_interference(Tt, F, h_eff, noise)
@@ -162,11 +187,16 @@ class TestMvdr:
                 g = g / np.conj(np.vdot(g, h[k]))  # restore f^H h = 1
                 assert np.vdot(g, R @ g).real >= base - 1e-12 * base
 
-    def test_bank_matches_per_user_covariance_solves(self, rng):
-        K, M, noise = 3, 8, 0.5
-        for _ in range(10):
+    @pytest.mark.parametrize("K, M", [(3, 8), (2, 4), (3, 2)])
+    def test_bank_matches_per_user_covariance_solves(self, rng, K, M):
+        # M < K, as in a transmit-beamformer step with fewer antennas than users,
+        # makes the Gram matrix singular
+        noise = 0.5
+        for draw in range(10):
             h = crandn(rng, K, M)
             p = rng.uniform(0.1, 3.0, K)
+            if draw == 0:
+                p[0] = 0.0
             F = mvdr_bank(p, h, noise)
             for k in range(K):
                 R_k = noise * np.eye(M, dtype=complex)
