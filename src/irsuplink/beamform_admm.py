@@ -6,8 +6,8 @@ load and B_k = |b_kk + g_kk^H theta|^2. With auxiliary positives beta_k
 the objective becomes sum_k beta_k A_k^2 + 1/(4 beta_k B_k^2), exact at
 beta_k = 1/(2 A_k B_k). ADMM splits the A-part (theta, unit modulus,
 handled by a ball relaxation plus phase projection) from the B-part
-(unconstrained consensus copy q, minimized by BFGS in 2N real variables)
-with scaled dual r.
+(unconstrained consensus copy q, minimized exactly by damped Newton in the
+span of the g_kk, at most 2K real variables) with scaled dual r.
 """
 
 from __future__ import annotations
@@ -29,7 +29,9 @@ __all__ = [
     "run_admm",
 ]
 
-_B_FLOOR = 1e-6  # floors B_k(q) so J_B stays finite (B^2 floored at 1e-12)
+Q_STEP_MAX_ITER = 50  # q-step Newton iterations
+Q_STEP_DECREMENT_TOL = 1e-14  # q-step stops once -grad^T step <= this * phi
+TOL_OBJECTIVE = 1e-7  # relative change of the outer value that counts as settled
 
 
 class SingularDenominatorError(ValueError):
@@ -100,21 +102,6 @@ class FractionalObjective:
         grad = 4.0 * np.einsum("k,kn->n", beta * A * self.Ttilde, inner)
         return val, grad
 
-    def _jb_value_grad(self, q: np.ndarray, beta: np.ndarray):
-        """sum_k J_B,k at the consensus copy q, with floored denominators."""
-        k = self.p.shape[0]
-        idx = np.arange(k)
-        s = self.coeffs.b[idx, idx] + np.einsum(
-            "kn,n->k", self.coeffs.g[idx, idx].conj(), q
-        )
-        b2 = np.abs(s) ** 2
-        floored = b2 < _B_FLOOR**2
-        b2c = np.maximum(b2, _B_FLOOR**2)
-        val = float(np.sum(1.0 / (4.0 * beta * b2c**2)))
-        coef = np.where(floored, 0.0, 1.0 / (beta * b2c**3))
-        grad = -np.einsum("k,kn->n", coef * s, self.coeffs.g[idx, idx])
-        return val, grad, bool(np.any(floored))
-
 
 @dataclass
 class AdmmState:
@@ -131,17 +118,13 @@ class AdmmState:
 @dataclass(frozen=True)
 class QStepReport:
     q: np.ndarray
-    grad_norm: float
     converged: bool
-    stalled: bool
-    floored: bool
 
 
 @dataclass(frozen=True)
 class AdmmResult:
     theta: np.ndarray
     value: float
-    objective_trace: list
     consensus_residuals: list
     final_consensus: float
     converged: bool
@@ -192,80 +175,67 @@ def admm_theta_step(state: AdmmState, objective: FractionalObjective,
     return _phase_project(theta)
 
 
-def _bfgs_minimize(value_grad, x0: np.ndarray, tol: float, max_iter: int):
-    """BFGS with Armijo halving line search; returns (x, grad_norm, converged, stalled)."""
-    n = x0.size
-    x = x0.copy()
-    f, g = value_grad(x)
-    H = np.eye(n)
-    first = True
-    for _ in range(max_iter):
-        gn = float(np.linalg.norm(g))
-        if gn <= tol:
-            return x, gn, True, False
-        d = -H @ g
-        slope = float(d @ g)
-        if slope >= 0.0:  # not a descent direction; reset
-            H = np.eye(n)
-            d = -g
-            slope = -float(g @ g)
+def admm_q_step(state: AdmmState, objective: FractionalObjective) -> QStepReport:
+    """q update: minimize phi = sum_k J_B,k(q) + (rho/2)||q - a||^2, a = theta + r.
+
+    J_B reads q only through s_k = b_kk + g_kk^H q, so the minimizer lies in
+    a + span{g_kk}: with Gamma = [g_11 ... g_KK] = Y R (reduced QR), q = a + Y y
+    and s = s0 + R^H y. Damped Newton runs over the at most 2K reals of y,
+    warm-started at the projection of state.q. |s|^-4 curves down across the
+    angle of s, so the step uses the Hessian's |eigenvalues|. converged means
+    the Newton decrement reached round-off.
+    """
+    anchor = state.theta + state.r
+    idx = np.arange(state.beta.size)
+    b, g = objective.coeffs.b[idx, idx], objective.coeffs.g[idx, idx]
+    if np.any(b + g.conj() @ state.q == 0.0):
+        raise SingularDenominatorError("some b_kk + g_kk^H q is zero at the warm start")
+    Y, R = np.linalg.qr(g.T)
+    A = R.conj().T
+    s0 = b + g.conj() @ anchor
+    m = A.shape[1]
+    # D[k] maps the reals (Re y, Im y) to (Re s_k, Im s_k)
+    D = np.stack([np.hstack([A.real, -A.imag]), np.hstack([A.imag, A.real])], axis=1)
+    w = 0.25 / state.beta  # J_B = sum_k w_k u_k^-2 with u_k = |s_k|^2
+    rho = state.rho
+
+    def phi(x):
+        s = s0 + A @ (x[:m] + 1j * x[m:])
+        return float(np.sum(w / np.abs(s) ** 4) + 0.5 * rho * (x @ x)), s
+
+    y0 = Y.conj().T @ (state.q - anchor)
+    x = np.concatenate([y0.real, y0.imag])
+    f, s = phi(x)
+    converged = False
+    for _ in range(Q_STEP_MAX_ITER):
+        u = np.abs(s) ** 2
+        sig = np.stack([s.real, s.imag], axis=1)
+        d1, d2 = -2.0 * w / u**3, 6.0 * w / u**4  # dJ/du_k, d2J/du_k2
+        grad = np.einsum("kam,ka->m", D, 2.0 * d1[:, None] * sig) + rho * x
+        curv = (4.0 * d2[:, None, None] * sig[:, :, None] * sig[:, None, :]
+                + 2.0 * d1[:, None, None] * np.eye(2))
+        hess = np.einsum("kam,kab,kbn->mn", D, curv, D) + rho * np.eye(2 * m)
+        lam, V = np.linalg.eigh(hess)
+        step = -V @ ((V.T @ grad) / np.abs(lam))
+        slope = float(grad @ step)
+        if -slope <= Q_STEP_DECREMENT_TOL * f:
+            converged = True
+            break
         t = 1.0
-        accepted = False
-        for _ in range(40):
-            f_new, g_new = value_grad(x + t * d)
+        for _ in range(60):
+            f_new, s_new = phi(x + t * step)
             if f_new <= f + 1e-4 * t * slope:
-                accepted = True
                 break
             t *= 0.5
-        if not accepted:
-            return x, gn, False, True
-        s = t * d
-        y = g_new - g
-        sy = float(s @ y)
-        if sy > 1e-12 * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
-            if first:
-                H *= sy / float(y @ y)
-                first = False
-            rho_b = 1.0 / sy
-            Hy = H @ y
-            H -= rho_b * (np.outer(s, Hy) + np.outer(Hy, s))
-            H += rho_b * (1.0 + rho_b * float(y @ Hy)) * np.outer(s, s)
-        x, f, g = x + s, f_new, g_new
-    return x, float(np.linalg.norm(g)), False, False
-
-
-def admm_q_step(state: AdmmState, objective: FractionalObjective,
-                tol: float | None = None, max_iter: int = 100) -> QStepReport:
-    """q update: minimize sum_k J_B,k(q) + (rho/2)||theta - q + r||^2 by
-    BFGS over the 2N real coordinates of q."""
-    anchor = state.theta + state.r
-    rho, beta = state.rho, state.beta
-    n = anchor.size
-    floored_any = False
-
-    def value_grad(x):
-        nonlocal floored_any
-        q = x[:n] + 1j * x[n:]
-        jb, jb_grad, fl = objective._jb_value_grad(q, beta)
-        floored_any = floored_any or fl
-        diff = q - anchor
-        val = jb + 0.5 * rho * float(np.linalg.norm(diff) ** 2)
-        gc = jb_grad + rho * diff
-        return val, np.concatenate([gc.real, gc.imag])
-
-    x0 = np.concatenate([state.q.real, state.q.imag])
-    if tol is None:
-        _, g0 = value_grad(x0)
-        tol = 1e-8 * (1.0 + float(np.linalg.norm(g0)))
-    x, gn, converged, stalled = _bfgs_minimize(value_grad, x0, tol, max_iter)
-    return QStepReport(q=x[:n] + 1j * x[n:], grad_norm=gn, converged=converged,
-                       stalled=stalled, floored=floored_any)
+        else:  # no Armijo point above round-off
+            break
+        x, f, s = x + t * step, f_new, s_new
+    return QStepReport(q=anchor + Y @ (x[:m] + 1j * x[m:]), converged=converged)
 
 
 def run_admm(objective: FractionalObjective, theta0: np.ndarray,
              max_outer: int = 20, max_inner: int = 200,
-             tol_consensus: float = 1e-6, tol_objective: float = 1e-7,
-             rho: float | None = None) -> AdmmResult:
+             tol_consensus: float = 1e-6) -> AdmmResult:
     """Alternate exact beta updates with ADMM inner sweeps; returns the best
     unit-modulus iterate seen (the start point included, so the result is
     never worse than theta0).
@@ -273,22 +243,20 @@ def run_admm(objective: FractionalObjective, theta0: np.ndarray,
     The outer loop stops once the sum-of-ratios value has settled AND the
     state itself has (the last inner sweep converged in a few iterations) —
     on hard instances the value plateaus while (theta, q, r) still drift.
-    rho defaults to value(theta0)/N so the penalty matches the objective
-    scale; it doubles when the consensus residual stalls for 20 inner
-    iterations.
+    The penalty rho starts at value(theta0)/N so that it matches the
+    objective scale; it doubles when the consensus residual stalls for 20
+    inner iterations.
     """
     theta0 = _phase_project(np.asarray(theta0, dtype=complex))
     n = theta0.size
     best_val = objective.value(theta0)
     best_theta = theta0.copy()
-    if rho is None:
-        rho = max(best_val, 1e-300) / max(n, 1)
+    rho = max(best_val, 1e-300) / max(n, 1)
 
     state = AdmmState(theta=theta0.copy(), q=theta0.copy(),
                       r=np.zeros(n, dtype=complex),
                       beta=objective.optimal_beta(theta0), rho=rho)
     rho_hi = rho * 2.0**16
-    objective_trace = [best_val]
     residuals: list[float] = []
     prev_outer = best_val
     stagnant_outers = 0
@@ -331,8 +299,7 @@ def run_admm(objective: FractionalObjective, theta0: np.ndarray,
                 state.rho *= 2.0
                 state.r *= 0.5
         outer_val = objective.value(state.theta)
-        objective_trace.append(outer_val)
-        settled = abs(outer_val - prev_outer) <= tol_objective * max(abs(outer_val), abs(prev_outer), 1e-300)
+        settled = abs(outer_val - prev_outer) <= TOL_OBJECTIVE * max(abs(outer_val), abs(prev_outer), 1e-300)
         # a short inner sweep means theta/q/r reached a stable fixed point;
         # a long one means the state is still moving even if the value stalls
         if settled and len(residuals) <= 3:
@@ -344,7 +311,6 @@ def run_admm(objective: FractionalObjective, theta0: np.ndarray,
             stagnant_outers = 0
         prev_outer = outer_val
     return AdmmResult(theta=best_theta, value=best_val,
-                      objective_trace=objective_trace,
                       consensus_residuals=residuals,
                       final_consensus=residuals[-1] if residuals else 0.0,
                       converged=converged, outer_iterations=outer_done)

@@ -54,6 +54,8 @@ CCMO_TOL = 1e-8
 ADMM_MAX_OUTER = 6
 ADMM_MAX_INNER = 60
 ADMM_TOL_CONSENSUS = 1e-3
+TX_MAX_ROUNDS = 6  # transmit-beamformer rounds of solve_multi_antenna
+TX_TOL = 1e-4  # relative power gain below which those rounds stop
 
 
 @dataclass(frozen=True)
@@ -193,8 +195,7 @@ def _beamformer_candidate(fw, coeffs, p, Ttilde, noise, theta, first_call, rng):
 
 def solve_multi_antenna(cfg: SystemConfig, mu_channels: MultiAntennaChannels,
                         profile: LatencyProfile, fw: FrameworkConfig | None = None,
-                        rng: np.random.Generator | None = None,
-                        max_rounds: int = 6, tol: float = 1e-4):
+                        rng: np.random.Generator | None = None):
     """Multi-antenna users: alternate the single-antenna machinery on the
     reduced channels H q_bar with gated transmit-beamformer updates.
 
@@ -215,7 +216,7 @@ def solve_multi_antenna(cfg: SystemConfig, mu_channels: MultiAntennaChannels,
         return qbar, state, trace
 
     noise = cfg.noise_power
-    for _ in range(max_rounds):
+    for _ in range(TX_MAX_ROUNDS):
         theta = state.theta
         H_eff = mu_channels.H_direct  # theta is empty when solved without the IRS
         if theta.size:
@@ -231,7 +232,7 @@ def solve_multi_antenna(cfg: SystemConfig, mu_channels: MultiAntennaChannels,
             break
         cand_sum = float(np.sum(state_c.p))
         if cand_sum <= best_sum:
-            improved = best_sum - cand_sum > tol * best_sum
+            improved = best_sum - cand_sum > TX_TOL * best_sum
             qbar, state, trace, best_sum = cand, state_c, trace_c, cand_sum
             if not improved:
                 break

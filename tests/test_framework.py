@@ -164,11 +164,11 @@ class TestGolden:
         (1, "none", [1.2655531549498372e-05], 2),
         (1, "fixed-random", [1.2769583513169645e-05], 2),
         (1, "ccmo", [1.1667177627192986e-05], 2),
-        (1, "admm", [1.1667415195841108e-05], 3),
+        (1, "admm", [1.1667270447851942e-05], 3),
         (2, "none", [3.0162633276329626e-06, 0.00011563618412500794], 2),
         (2, "fixed-random", [3.0097960584343948e-06, 4.036432486556494e-05], 2),
         (2, "ccmo", [3.000844273154635e-06, 5.647228206427589e-06], 2),
-        (2, "admm", [3.0008826493734505e-06, 5.64725150246065e-06], 3),
+        (2, "admm", [3.0008660006490465e-06, 5.647231777914176e-06], 2),
     ])
     def test_solve(self, K, solver, p, outer):
         cfg = small_cfg(K=K, rho_b=1.0)
