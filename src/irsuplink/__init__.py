@@ -30,6 +30,8 @@ from .power_detect import (
     DegenerateDetectorError,
     InfeasibleError,
     build_interference,
+    detectors,
+    gram,
     mvdr_bank,
     solve_power_fixed_point,
     spectral_radius,

@@ -81,7 +81,8 @@ class ExperimentSpec:
     output: str | None = None
     base: dict = field(default_factory=dict)
 
-    def validate(self) -> None:
+    def validate(self) -> list:
+        """Raise SpecError on any problem, else return each grid point's config."""
         problems = []
         if self.sweep_variable not in SWEEP_VARIABLES:
             problems.append(f"sweep variable {self.sweep_variable!r} not in {SWEEP_VARIABLES}")
@@ -99,6 +100,10 @@ class ExperimentSpec:
                 problems.append(f"unknown base parameter {key!r}")
         if problems:
             raise SpecError("; ".join(problems))
+        try:
+            return [_build_config(self.base, self.sweep_variable, v) for v in self.grid]
+        except (TypeError, ValueError) as exc:
+            raise SpecError(f"grid point: {exc}") from exc
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -278,10 +283,8 @@ def _aggregate(rows) -> tuple:
 def run_experiment(spec: ExperimentSpec) -> ExperimentTable:
     """Execute the sweep: each grid point x trial draws one channel shared
     by all solvers; per-trial infeasibility is recorded, not fatal."""
-    spec.validate()
     rows = []
-    for value in spec.grid:
-        cfg, d_spec = _build_config(spec.base, spec.sweep_variable, value)
+    for value, (cfg, d_spec) in zip(spec.grid, spec.validate()):
         for trial in range(spec.trials):
             for solver in spec.solvers:
                 rows.append(_run_trial(cfg, d_spec, solver, spec.sweep_variable,

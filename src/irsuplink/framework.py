@@ -22,6 +22,8 @@ from .power_detect import (
     DegenerateDetectorError,
     InfeasibleError,
     build_interference,
+    detectors,
+    gram,
     mvdr_bank,
     solve_power_fixed_point,
     # never called here (solve_power_fixed_point is the gate); bench/test_bench.py reads it
@@ -76,13 +78,6 @@ class ConvergenceTrace:
     outer_iterations: int = 0
 
 
-def _matched_filters(h_eff: np.ndarray) -> np.ndarray:
-    norms = np.sum(np.abs(h_eff) ** 2, axis=1)
-    if np.any(norms == 0.0):
-        raise DegenerateDetectorError("a user has a zero effective channel")
-    return h_eff / norms[:, None]
-
-
 def _initial_theta_candidates(beamformer: str, n: int, rng: np.random.Generator):
     if beamformer == "fixed-random":
         return [np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n))]
@@ -92,16 +87,13 @@ def _initial_theta_candidates(beamformer: str, n: int, rng: np.random.Generator)
     return cands
 
 
-def _resolve(ch, Ttilde, F, theta, noise):
-    """Exact powers for a candidate theta at the current detectors, or None
-    when the candidate is infeasible or degenerate."""
-    h_eff = effective_channel(ch, theta)
+def _powers(Ttilde, C, A, noise, X=None):
+    """Powers of the detectors C facing cross-Gram X (default A), or None if infeasible."""
     try:
-        im = build_interference(Ttilde, F, h_eff, noise)
-        p = solve_power_fixed_point(im.Q, im.tau).p
+        im = build_interference(Ttilde, C, A, noise, X)
+        return solve_power_fixed_point(im.Q, im.tau).p
     except (DegenerateDetectorError, InfeasibleError):
         return None
-    return p, h_eff
 
 
 def solve(cfg: SystemConfig, channels: ChannelSet, profile: LatencyProfile,
@@ -110,29 +102,30 @@ def solve(cfg: SystemConfig, channels: ChannelSet, profile: LatencyProfile,
 
     Returns (SolverState, ConvergenceTrace). Raises InfeasibleError when no
     initial phase candidate passes the spectral-radius gate, or when the
-    current iterate fails it after a detector update.
+    current iterate fails it after a detector update. The loop carries the
+    Gram matrix A of h_eff and the detectors' coefficient rows C (F = C h_eff).
     """
     fw = fw or FrameworkConfig()
     if rng is None:
         rng = np.random.default_rng(0)
     noise = cfg.noise_power
-    Ttilde = profile.Ttilde
+    Ttilde = profile.Ttilde.tolist()
     ch = channels.without_irs() if fw.beamformer == "none" else channels
     n = ch.num_irs_elements
 
-    # the first candidate whose power solve passes its spectral-radius gate;
-    # those powers start the first outer iteration
+    # the first candidate whose matched-filter power solve passes its
+    # spectral-radius gate; those powers start the first outer iteration
     theta = None
     for cand in _initial_theta_candidates(fw.beamformer, n, rng):
         h_eff = effective_channel(ch, cand)
-        try:
-            F = _matched_filters(h_eff)
-            im = build_interference(Ttilde, F, h_eff, noise)
-            p = solve_power_fixed_point(im.Q, im.tau).p
-        except (DegenerateDetectorError, InfeasibleError):
-            continue
-        theta = cand
-        break
+        A = gram(h_eff)
+        # f_k = h_k / ||h_k||^2; a zero channel leaves a zero, degenerate detector
+        C = [[1.0 / a[i].real if j == i and a[i].real else 0.0 for j in range(len(A))]
+             for i, a in enumerate(A)]
+        p = _powers(Ttilde, C, A, noise)
+        if p is not None:
+            theta = cand
+            break
     if theta is None:
         raise InfeasibleError("no initial phase candidate passes the spectral-radius gate")
 
@@ -141,36 +134,37 @@ def solve(cfg: SystemConfig, channels: ChannelSet, profile: LatencyProfile,
     first_beam_call = True
     beam_stale = 0  # consecutive negligible theta updates; 2 freezes the beamformer
     for t in range(1, MAX_OUTER + 1):
-        # p is already the exact solve at the current (F, theta)
-        prev_inner_sum = float(np.sum(p))
+        # p is already the exact solve at the current (C, theta)
+        prev_inner_sum = sum(p.tolist())
         for _ in range(MAX_INNER):
-            F = mvdr_bank(p, h_eff, noise)
+            C, basis = mvdr_bank(p, A, noise), h_eff
             if fw.beamformer in ("ccmo", "admm") and n > 0 and beam_stale < 2:
-                coeffs = effective_coeffs(ch, F)
+                coeffs = effective_coeffs(ch, detectors(C, h_eff))
                 cand = _beamformer_candidate(fw, coeffs, p, Ttilde, noise, theta,
                                              first_beam_call, rng)
                 first_beam_call = False
-                base = _resolve(ch, Ttilde, F, theta, noise)
-                trial = _resolve(ch, Ttilde, F, cand, noise)
+                base = _powers(Ttilde, C, A, noise)
+                # the candidate's channels face the detectors F = C h_eff held
+                # fixed in M-space, through the cross-Gram h_cand^* h_eff^T
+                h_cand = effective_channel(ch, cand)
+                trial = _powers(Ttilde, C, A, noise, gram(h_cand, h_eff))
                 if base is None:
                     raise InfeasibleError("current iterate became infeasible")
-                base_sum = float(np.sum(base[0]))
-                if trial is not None and float(np.sum(trial[0])) <= base_sum:
-                    theta = cand
-                    p, h_eff = trial
-                    gain = base_sum - float(np.sum(p))
+                base_sum = sum(base.tolist())
+                if trial is not None and sum(trial.tolist()) <= base_sum:
+                    theta, h_eff, A, p = cand, h_cand, gram(h_cand), trial
+                    gain = base_sum - sum(p.tolist())
                     beam_stale = beam_stale + 1 if gain <= INNER_TOL * base_sum else 0
                 else:
-                    p, h_eff = base
+                    p = base
                     beam_stale += 1
-            else:  # theta is unchanged, and so is h_eff
-                im = build_interference(Ttilde, F, h_eff, noise)
+            else:  # theta is unchanged, and so are h_eff and A
+                im = build_interference(Ttilde, C, A, noise)
                 p = solve_power_fixed_point(im.Q, im.tau).p
-            s = float(np.sum(p))
+            s = sum(p.tolist())
             if abs(s - prev_inner_sum) <= INNER_TOL * max(prev_inner_sum, s, 1e-300):
                 break
             prev_inner_sum = s
-        s = float(np.sum(p))
         trace.sum_power.append(s)
         trace.outer_iterations = t
         if np.isfinite(prev_outer_sum) and \
@@ -178,7 +172,7 @@ def solve(cfg: SystemConfig, channels: ChannelSet, profile: LatencyProfile,
             trace.converged = True
             break
         prev_outer_sum = s
-    return SolverState(p=p, F=F, theta=theta, h_eff=h_eff), trace
+    return SolverState(p=p, F=detectors(C, basis), theta=theta, h_eff=h_eff), trace
 
 
 def _beamformer_candidate(fw, coeffs, p, Ttilde, noise, theta, first_call, rng):
@@ -211,7 +205,7 @@ def solve_multi_antenna(cfg: SystemConfig, mu_channels: MultiAntennaChannels,
     qbar = np.zeros((k_users, n_u), dtype=complex)
     qbar[:, 0] = 1.0
     state, trace = solve(cfg, mu_channels.reduce(qbar), profile, fw, rng)
-    best_sum = float(np.sum(state.p))
+    best_sum = sum(state.p.tolist())
     if n_u == 1:
         return qbar, state, trace
 
@@ -224,13 +218,14 @@ def solve_multi_antenna(cfg: SystemConfig, mu_channels: MultiAntennaChannels,
         # w[k, j] = (H_eff,k)^H f_j: user k's channel seen by detector j
         w = np.einsum("kmu,jm->kju", H_eff.conj(), state.F)
         # row k of the bank over w[k] is parallel to R_k^{-1} w[k, k] (Sherman-Morrison)
-        cand = np.array([mvdr_bank(state.p, w[k], noise)[k] for k in range(k_users)])
+        cand = np.array([detectors(mvdr_bank(state.p, gram(w[k]), noise), w[k])[k]
+                         for k in range(k_users)])
         cand /= np.linalg.norm(cand, axis=1, keepdims=True)
         try:
             state_c, trace_c = solve(cfg, mu_channels.reduce(cand), profile, fw, rng)
         except InfeasibleError:
             break
-        cand_sum = float(np.sum(state_c.p))
+        cand_sum = sum(state_c.p.tolist())
         if cand_sum <= best_sum:
             improved = best_sum - cand_sum > TX_TOL * best_sum
             qbar, state, trace, best_sum = cand, state_c, trace_c, cand_sum

@@ -4,13 +4,17 @@ With detectors and phases held fixed, the latency constraints read
 (I - Q) p >= tau with Q[i, j] = T~_i |f_i^H h_j|^2 / |f_i^H h_i|^2 (zero
 diagonal) and tau_i = sigma^2 T~_i ||f_i||^2 / |f_i^H h_i|^2. When the
 spectral radius of Q is below one, the unique componentwise-minimal
-feasible power vector is (I - Q)^{-1} tau. Every step costs O(K^2 M):
-no M x M matrix is built and no eigen-decomposition is taken.
+feasible power vector is (I - Q)^{-1} tau. Detector banks are carried as
+K x K coefficient rows C (F = C H), and every step reads the channels
+only through their K x K Gram matrix A = H^* H^T: O(K^2 M) once per phase
+vector, then O(K^3) on Python scalars per detector or power step. F is
+built only where it is read. No M x M matrix and no eigen-decomposition.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
@@ -19,6 +23,8 @@ __all__ = [
     "DegenerateDetectorError",
     "InterferenceMatrix",
     "PowerSolveReport",
+    "gram",
+    "detectors",
     "build_interference",
     "spectral_radius",
     "solve_power_fixed_point",
@@ -36,10 +42,10 @@ class DegenerateDetectorError(ValueError):
 
 @dataclass(frozen=True)
 class InterferenceMatrix:
-    """Normalized cross gains Q (zero diagonal) and noise loads tau."""
+    """Normalized cross gains Q (zero diagonal) and noise loads tau, as lists."""
 
-    Q: np.ndarray
-    tau: np.ndarray
+    Q: list
+    tau: list
 
 
 @dataclass(frozen=True)
@@ -50,28 +56,45 @@ class PowerSolveReport:
     converged: bool = True
 
 
-def build_interference(Ttilde, F: np.ndarray, h_eff: np.ndarray, noise_power: float) -> InterferenceMatrix:
-    """Assemble (Q, tau) from the current detectors and effective channels."""
-    Ttilde = np.asarray(Ttilde, dtype=float)
-    cross = np.abs(F.conj() @ h_eff.T) ** 2  # |f_i^H h_j|^2
-    own = np.diag(cross).copy()
-    if np.any(own <= 0.0):
-        bad = int(np.argmin(own))
-        raise DegenerateDetectorError(f"detector {bad} has zero gain on its own channel")
-    Q = Ttilde[:, None] * cross / own[:, None]
-    np.fill_diagonal(Q, 0.0)
-    f_norm_sq = np.sum(np.abs(F) ** 2, axis=1)
-    tau = noise_power * Ttilde * f_norm_sq / own
+def gram(H: np.ndarray, H2: np.ndarray | None = None) -> list:
+    """Gram matrix H^* H^T (entry [i][j] = h_i^H h_j), or cross-Gram H^* H2^T, as lists."""
+    return (H.conj() @ (H if H2 is None else H2).T).tolist()
+
+
+def detectors(C, H: np.ndarray) -> np.ndarray:
+    """Rows F = C H renormalized to f_k^H h_k = 1, which moves no power (SINR is scale-free)."""
+    F = np.array(C) @ H
+    # h_k^H f_k; complex division makes f^H h = 1 exact
+    return F / (H.conj() * F).sum(axis=1)[:, None]
+
+
+def build_interference(Ttilde, C, A, noise_power: float, X=None) -> InterferenceMatrix:
+    """Assemble (Q, tau) for the detectors F = C H from the Gram matrix A of H.
+
+    The gains are h_j^H f_i = sum_l C[i][l] A[j][l]. Detectors facing other
+    channels H' (a phase candidate, F held fixed in M-space) take them from
+    the cross-Gram X = H'^* H^T (X[j][l] = h'_j^H h_l) instead; ||f_i||^2 reads A.
+    """
+    Q, tau = [], []
+    for i, c in enumerate(C):
+        seen = [sum(map(mul, c, a)) for a in A]  # h_j^H f_i
+        faced = seen if X is None else [sum(map(mul, c, x)) for x in X]
+        own = abs(faced[i]) ** 2
+        if not own > 0.0:
+            raise DegenerateDetectorError(f"detector {i} has zero gain on its own channel")
+        Q.append([0.0 if j == i else Ttilde[i] * abs(z) ** 2 / own for j, z in enumerate(faced)])
+        f_norm_sq = sum([x * z.conjugate() for x, z in zip(c, seen)]).real  # f_i^H f_i
+        tau.append(noise_power * Ttilde[i] * f_norm_sq / own)
     return InterferenceMatrix(Q=Q, tau=tau)
 
 
-def spectral_radius(Q: np.ndarray) -> float:
+def spectral_radius(Q) -> float:
     """Exact dominant eigenvalue magnitude of the K x K coupling matrix: the
     reference for the power solve's pivot gate in tests, not on the solve path."""
     return float(np.max(np.abs(np.linalg.eigvals(Q))))
 
 
-def solve_power_fixed_point(Q: np.ndarray, tau: np.ndarray) -> PowerSolveReport:
+def solve_power_fixed_point(Q, tau) -> PowerSolveReport:
     """The minimal feasible power vector (I - Q)^{-1} tau, the fixed point
     of p <- Q p + tau.
 
@@ -81,8 +104,8 @@ def solve_power_fixed_point(Q: np.ndarray, tau: np.ndarray) -> PowerSolveReport:
     therefore the exact gate: it raises InfeasibleError at the first pivot
     that is not positive.
     """
-    a = (-np.asarray(Q, dtype=float)).tolist()  # rows of I - Q once the diagonal gets +1
-    b = np.asarray(tau, dtype=float).tolist()
+    a = [[-q for q in row] for row in Q]  # rows of I - Q once the diagonal gets +1
+    b = list(tau)
     k = len(b)
     for i in range(k):
         a[i][i] += 1.0
@@ -101,25 +124,32 @@ def solve_power_fixed_point(Q: np.ndarray, tau: np.ndarray) -> PowerSolveReport:
     return PowerSolveReport(p=np.array(p))
 
 
-def mvdr_bank(p, h_eff: np.ndarray, noise_power: float) -> np.ndarray:
-    """All K MVDR detectors f_k = R_k^{-1} h_k / (h_k^H R_k^{-1} h_k), stacked
-    as rows. R_k sums the interferers' weighted outer products plus the
-    noise loading; each row satisfies f_k^H h_k = 1.
+def mvdr_bank(p, A, noise_power: float) -> list:
+    """Coefficient rows C (F = C H) of all K MVDR detectors, each parallel
+    to R_k^{-1} h_k, from the Gram matrix A of the channels H. R_k sums the
+    interferers' weighted outer products plus the noise loading.
 
-    The full covariance R = sigma^2 I + sum_j p_j h_j h_j^H differs from
-    user k's interference-plus-noise covariance R_k by p_k h_k h_k^H, so by
-    Sherman-Morrison R^{-1} h_k is parallel to R_k^{-1} h_k. Normalizing
-    each column of R^{-1} H^T to f_k^H h_k = 1 therefore gives the same
-    detectors as K separate solves. With A = H^* H^T the K x K Gram matrix
-    of the rows h_k, Woodbury gives R^{-1} H^T = H^T (sigma^2 I + diag(p) A)^{-1}:
-    one K x K solve, nonsingular also when A is (M < K).
+    R = sigma^2 I + sum_j p_j h_j h_j^H differs from R_k by p_k h_k h_k^H, so
+    by Sherman-Morrison R^{-1} h_k is parallel to R_k^{-1} h_k; Woodbury
+    gives R^{-1} H^T = H^T S^{-1} with S = sigma^2 I + diag(p) A, so C = S^{-T},
+    nonsingular also when A is (M < K). The leading minors of S,
+    det(sigma^2 I + D A) = det(sigma^2 I + D^{1/2} A D^{1/2}) with D = diag(p),
+    are positive, so Gauss-Jordan needs no pivoting.
     """
     if noise_power <= 0:
         raise ValueError(f"noise power must be positive, got {noise_power}")
-    p = np.asarray(p, dtype=float)
-    # (sigma^2 I + diag(p) A)^T, as A^T = H H^H
-    system_t = (h_eff @ h_eff.conj().T) * p + noise_power * np.eye(p.size)
-    X = np.linalg.solve(system_t, h_eff)  # row k is R^{-1} h_k
-    # h_k^H R^{-1} h_k; complex division makes f^H h = 1 exact
-    denom = np.sum(h_eff.conj() * X, axis=1)
-    return X / denom[:, None]
+    p = np.asarray(p, dtype=float).tolist()
+    k = len(p)
+    # [S^T | I] with S^T[i][j] = sigma^2 delta_ij + A[j][i] p_j
+    rows = [[a * q for a, q in zip(col, p)] + [0.0] * k for col in zip(*A)]
+    for i, row in enumerate(rows):
+        row[i] += noise_power
+        row[k + i] = 1.0
+    for i, pivot_row in enumerate(rows):
+        inv = 1.0 / pivot_row[i]
+        pivot_row[:] = [x * inv for x in pivot_row]
+        for r, row in enumerate(rows):
+            if r != i:
+                ratio = row[i]
+                row[:] = [x - ratio * y for x, y in zip(row, pivot_row)]
+    return [row[k:] for row in rows]

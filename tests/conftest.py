@@ -7,9 +7,13 @@ from irsuplink import (
     ChannelSet,
     EffectiveCoeffs,
     SolverState,
+    build_interference,
+    detectors,
     effective_channel,
     effective_coeffs,
+    gram,
     mvdr_bank,
+    spectral_radius,
 )
 
 
@@ -64,24 +68,29 @@ def random_coeffs(rng, K, N, scale=1.0):
     return EffectiveCoeffs(b=b, g=g, f_norm_sq=f_norm_sq)
 
 
+def mvdr_rows(p, h_eff, noise):
+    """The MVDR detector rows F (K, M) over the channels h_eff."""
+    return detectors(mvdr_bank(p, gram(h_eff), noise), h_eff)
+
+
 def feasible_power_instance(rng, K=3, M=8, rho_target=0.85, noise=1.0):
     """Random detectors/channels with protection ratios scaled so that the
     MVDR-updated interference matrix is comfortably feasible.
 
-    Returns (h_eff, F, Ttilde, noise). Q scales linearly with Ttilde, so
-    scaling Ttilde pins the spectral radius below rho_target.
+    Returns (h_eff, C, Ttilde, noise), with C the coefficient rows of the
+    detectors F = C h_eff. Q scales linearly with Ttilde, so scaling
+    Ttilde pins the spectral radius below rho_target.
     """
-    from irsuplink import build_interference, spectral_radius
-
     h_eff = crandn(rng, K, M)
+    A = gram(h_eff)
     p_probe = rng.uniform(0.5, 2.0, K)
-    F = mvdr_bank(p_probe, h_eff, noise)
+    C = mvdr_bank(p_probe, A, noise)
     Ttilde = rng.uniform(0.5, 1.5, K)
-    im = build_interference(Ttilde, F, h_eff, noise)
+    im = build_interference(Ttilde, C, A, noise)
     rho = spectral_radius(im.Q)
     if rho > 0:
         Ttilde = Ttilde * min(1.0, rho_target * rng.uniform(0.5, 1.0) / rho)
-    return h_eff, F, Ttilde, noise
+    return h_eff, C, Ttilde, noise
 
 
 def iterate_fixed_point(Q, tau, p0, max_iter=10_000):
@@ -105,7 +114,7 @@ def consistent_state(rng, ch, Ttilde=None, noise=1.0, p=None, theta=None):
     h_eff = effective_channel(ch, theta)
     if p is None:
         p = rng.uniform(0.5, 2.0, K)
-    F = mvdr_bank(p, h_eff, noise)
+    F = mvdr_rows(p, h_eff, noise)
     return SolverState(p=p, F=F, theta=theta, h_eff=h_eff), effective_coeffs(ch, F)
 
 

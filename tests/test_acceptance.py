@@ -17,7 +17,9 @@ from irsuplink import (
     LatencyProfile,
     SystemConfig,
     build_interference,
+    detectors,
     emit_csv,
+    gram,
     latency,
     mvdr_bank,
     run_admm,
@@ -35,8 +37,8 @@ from irsuplink import (
 )
 from irsuplink.experiments import _build_config
 from irsuplink.system import SolverState, effective_channel, effective_coeffs
-from conftest import (crandn, feasible_power_instance, iterate_fixed_point, random_coeffs,
-                      single_user_oracle)
+from conftest import (crandn, feasible_power_instance, iterate_fixed_point, mvdr_rows,
+                      random_coeffs, single_user_oracle)
 
 
 def report(num, ok, detail):
@@ -48,15 +50,15 @@ def power_instances(count, seed=20240810):
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(count):
-        h_eff, F, Tt, noise = feasible_power_instance(rng, K=3, M=8, rho_target=0.88)
-        out.append((h_eff, F, Tt, noise, build_interference(Tt, F, h_eff, noise), rng))
+        h_eff, C, Tt, noise = feasible_power_instance(rng, K=3, M=8, rho_target=0.88)
+        out.append((h_eff, C, Tt, noise, build_interference(Tt, C, gram(h_eff), noise), rng))
     return out
 
 
 def test_criterion_01_fixed_point_matches_direct_solve():
     start = time.perf_counter()
     worst = 0.0
-    for h_eff, F, Tt, noise, im, _ in power_instances(100):
+    for h_eff, C, Tt, noise, im, _ in power_instances(100):
         rep = solve_power_fixed_point(im.Q, im.tau)
         direct = np.linalg.solve(np.eye(3) - im.Q, im.tau)
         worst = max(worst, float(np.max(np.abs(rep.p - direct) / direct)))
@@ -68,9 +70,9 @@ def test_criterion_01_fixed_point_matches_direct_solve():
 def test_criterion_02_fixed_point_unique_across_starts():
     rng = np.random.default_rng(7)
     worst = 0.0
-    for h_eff, F, Tt, noise, im, _ in power_instances(100, seed=20240811):
+    for h_eff, C, Tt, noise, im, _ in power_instances(100, seed=20240811):
         p_ref = solve_power_fixed_point(im.Q, im.tau).p
-        for p0 in (np.zeros(3), 10 * im.tau, rng.uniform(0, 3, 3)):
+        for p0 in (np.zeros(3), 10 * np.asarray(im.tau), rng.uniform(0, 3, 3)):
             p = iterate_fixed_point(im.Q, im.tau, p0)
             worst = max(worst, float(np.max(np.abs(p - p_ref) / p_ref)))
     ok = worst < 1e-8
@@ -93,14 +95,14 @@ def test_criterion_03_constraints_tight_after_power_solve():
     for cfg, ch, prof in physical_instances(100):
         theta = np.ones(cfg.N, dtype=complex)
         h_eff = effective_channel(ch, theta)
+        A = gram(h_eff)
         norms = np.sum(np.abs(h_eff) ** 2, axis=1)
-        F = h_eff / norms[:, None]
-        im = build_interference(prof.Ttilde, F, h_eff, cfg.noise_power)
+        im = build_interference(prof.Ttilde, np.diag(1.0 / norms), A, cfg.noise_power)
         p = solve_power_fixed_point(im.Q, im.tau).p
-        F = mvdr_bank(p, h_eff, cfg.noise_power)
-        im = build_interference(prof.Ttilde, F, h_eff, cfg.noise_power)
+        C = mvdr_bank(p, A, cfg.noise_power)
+        im = build_interference(prof.Ttilde, C, A, cfg.noise_power)
         p = solve_power_fixed_point(im.Q, im.tau).p
-        st = SolverState(p=p, F=F, theta=theta, h_eff=h_eff)
+        st = SolverState(p=p, F=detectors(C, h_eff), theta=theta, h_eff=h_eff)
         for k in range(cfg.K):
             worst_sinr = max(worst_sinr,
                              abs(sinr(st, cfg.noise_power, k) / prof.Ttilde[k] - 1.0))
@@ -117,10 +119,10 @@ def test_criterion_04_mvdr_distortionless_and_optimal():
         theta = np.ones(cfg.N, dtype=complex)
         h_eff = effective_channel(ch, theta)
         norms = np.sum(np.abs(h_eff) ** 2, axis=1)
-        im = build_interference(prof.Ttilde, h_eff / norms[:, None], h_eff, cfg.noise_power)
+        im = build_interference(prof.Ttilde, np.diag(1.0 / norms), gram(h_eff), cfg.noise_power)
         p = solve_power_fixed_point(im.Q, im.tau).p  # operating-point powers
         for k in range(cfg.K):
-            f = mvdr_bank(p, h_eff, cfg.noise_power)[k]
+            f = mvdr_rows(p, h_eff, cfg.noise_power)[k]
             worst_unit = max(worst_unit, abs(np.vdot(f, h_eff[k]) - 1.0))
             R = cfg.noise_power * np.eye(cfg.M, dtype=complex)
             for j in range(cfg.K):

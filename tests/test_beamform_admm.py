@@ -9,8 +9,8 @@ from irsuplink import (
     sinr,
 )
 from irsuplink.beamform_admm import AdmmState, admm_q_step, admm_theta_step
-from irsuplink import SolverState, effective_channel, effective_coeffs, mvdr_bank
-from conftest import crandn, random_channel_set, random_coeffs
+from irsuplink import SolverState, effective_channel, effective_coeffs
+from conftest import crandn, mvdr_rows, random_channel_set, random_coeffs
 
 
 def unit_phases(rng, n):
@@ -39,7 +39,7 @@ class TestSumOfRatios:
             theta = unit_phases(rng, N)
             h_eff = effective_channel(ch, theta)
             p = rng.uniform(0.2, 2.0, K)
-            F = mvdr_bank(p, h_eff, 0.9)
+            F = mvdr_rows(p, h_eff, 0.9)
             Tt = rng.uniform(0.3, 1.2, K)
             st = SolverState(p=p, F=F, theta=theta, h_eff=h_eff)
             # each ratio is the one-step power update of user k, i.e. p_k T~_k / Gamma_k

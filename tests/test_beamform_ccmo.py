@@ -185,8 +185,8 @@ class TestResidualFeasibilityLink:
     def test_nonnegative_slacks_iff_targets_met(self, rng):
         # the summed quadratic splits into per-user slacks; each is >= 0
         # exactly when that user's SINR clears its protection ratio
-        from irsuplink import SolverState, effective_channel, effective_coeffs, mvdr_bank, sinr
-        from conftest import random_channel_set
+        from irsuplink import SolverState, effective_channel, effective_coeffs, sinr
+        from conftest import mvdr_rows, random_channel_set
 
         hits = {True: 0, False: 0}
         for _ in range(40):
@@ -195,7 +195,7 @@ class TestResidualFeasibilityLink:
             theta = unit_phases(rng, N)
             h_eff = effective_channel(ch, theta)
             p = rng.uniform(0.05, 2.0, K)
-            F = mvdr_bank(p, h_eff, 1.0)
+            F = mvdr_rows(p, h_eff, 1.0)
             coeffs = effective_coeffs(ch, F)
             Tt = rng.uniform(0.2, 2.0, K)
             st = SolverState(p=p, F=F, theta=theta, h_eff=h_eff)

@@ -84,6 +84,19 @@ class TestPresets:
 
 
 class TestRunExperiment:
+    def test_builds_each_grid_config_once(self, monkeypatch):
+        from irsuplink import experiments
+
+        calls = []
+
+        def counting(base, variable, value):
+            calls.append(value)
+            return _build_config(base, variable, value)
+
+        monkeypatch.setattr(experiments, "_build_config", counting)
+        run_experiment(tiny_spec(grid=(8, 16), solvers=("none", "fixed-random")))
+        assert calls == [8, 16]
+
     def test_single_trial_single_point(self):
         table = run_experiment(tiny_spec())
         assert len(table.rows) == 1
@@ -224,6 +237,18 @@ class TestCli:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"name": "x", "sweep_variable": "nope", "grid": [1]}))
         assert cli_main(["validate", "--spec", str(bad)]) == 1
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("variable, value", [("rho_b", 1.5), ("N", 0)])
+    def test_out_of_range_grid_value_is_spec_error(self, tmp_path, capsys, command,
+                                                   variable, value):
+        out = tmp_path / "x.csv"
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"name": "x", "sweep_variable": variable, "grid": [value],
+                                    "trials": 1, "solvers": ["none"], "output": str(out)}))
+        assert cli_main([command, "--spec", str(spec)]) == 1
+        assert "spec error" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_preset_is_spec_error(self):
         assert cli_main(["run", "--preset", "does-not-exist"]) == 1

@@ -5,48 +5,52 @@ from irsuplink import (
     DegenerateDetectorError,
     InfeasibleError,
     build_interference,
+    detectors,
+    gram,
     mvdr_bank,
     solve_power_fixed_point,
     spectral_radius,
 )
-from conftest import crandn, feasible_power_instance, iterate_fixed_point
+from conftest import crandn, feasible_power_instance, iterate_fixed_point, mvdr_rows
 
 
 class TestBuildInterference:
     def test_single_user(self, rng):
         h = crandn(rng, 1, 4)
-        f = crandn(rng, 1, 4)
-        im = build_interference([0.3], f, h, noise_power=2.0)
-        assert im.Q.shape == (1, 1) and im.Q[0, 0] == 0.0
+        c = crandn(rng, 1, 1)
+        f = c @ h
+        im = build_interference([0.3], c, gram(h), noise_power=2.0)
+        assert np.shape(im.Q) == (1, 1) and im.Q[0][0] == 0.0
         own = abs(np.vdot(f[0], h[0])) ** 2
         assert im.tau[0] == pytest.approx(2.0 * 0.3 * np.linalg.norm(f[0]) ** 2 / own)
 
     def test_orthogonal_detectors_kill_coupling(self):
         h = np.eye(3, dtype=complex)
-        F = np.eye(3, dtype=complex)
-        im = build_interference([0.5, 0.5, 0.5], F, h, 1.0)
-        assert np.all(im.Q == 0.0)
+        C = np.eye(3, dtype=complex)  # F = C h = h
+        im = build_interference([0.5, 0.5, 0.5], C, gram(h), 1.0)
+        assert np.all(np.asarray(im.Q) == 0.0)
 
     def test_matches_scalar_loop(self, rng):
         K, M = 3, 5
         h = crandn(rng, K, M)
-        F = crandn(rng, K, M)
+        C = crandn(rng, K, K)  # detectors lie in the channels' row space
+        F = C @ h
         Tt = rng.uniform(0.2, 1.0, K)
         noise = 0.7
-        im = build_interference(Tt, F, h, noise)
+        im = build_interference(Tt, C, gram(h), noise)
         for i in range(K):
             own = abs(np.vdot(F[i], h[i])) ** 2
             for j in range(K):
                 expect = 0.0 if i == j else Tt[i] * abs(np.vdot(F[i], h[j])) ** 2 / own
-                assert im.Q[i, j] == pytest.approx(expect, rel=1e-12)
+                assert im.Q[i][j] == pytest.approx(expect, rel=1e-12)
             assert im.tau[i] == pytest.approx(
                 noise * Tt[i] * np.linalg.norm(F[i]) ** 2 / own, rel=1e-12)
 
     def test_degenerate_detector_raises(self, rng):
-        h = np.array([[1.0 + 0j, 0.0]])
-        F = np.array([[0.0, 1.0 + 0j]])  # orthogonal to the own channel
+        h = np.eye(2, dtype=complex)
+        C = np.array([[0.0, 1.0], [1.0, 0.0]])  # f_0 = h_1, orthogonal to the own channel
         with pytest.raises(DegenerateDetectorError):
-            build_interference([0.5], F, h, 1.0)
+            build_interference([0.5, 0.5], C, gram(h), 1.0)
 
 
 class TestSpectralRadius:
@@ -70,8 +74,8 @@ class TestSpectralRadius:
         assert spectral_radius(q) == pytest.approx(np.sqrt(0.75))
 
     def test_below_one_after_mvdr(self, rng):
-        h_eff, F, Tt, noise = feasible_power_instance(rng)
-        im = build_interference(Tt, F, h_eff, noise)
+        h_eff, C, Tt, noise = feasible_power_instance(rng)
+        im = build_interference(Tt, C, gram(h_eff), noise)
         assert spectral_radius(im.Q) < 1.0
 
 
@@ -90,18 +94,19 @@ class TestFixedPoint:
 
     def test_matches_direct_linear_solve(self, rng):
         for _ in range(25):
-            h_eff, F, Tt, noise = feasible_power_instance(rng)
-            im = build_interference(Tt, F, h_eff, noise)
+            h_eff, C, Tt, noise = feasible_power_instance(rng)
+            im = build_interference(Tt, C, gram(h_eff), noise)
             rep = solve_power_fixed_point(im.Q, im.tau)
             direct = np.linalg.solve(np.eye(len(im.tau)) - im.Q, im.tau)
             np.testing.assert_allclose(rep.p, direct, rtol=1e-10)
 
     def test_start_point_does_not_matter(self, rng):
-        h_eff, F, Tt, noise = feasible_power_instance(rng)
-        im = build_interference(Tt, F, h_eff, noise)
-        p_ref = solve_power_fixed_point(im.Q, im.tau).p
-        for p0 in (np.zeros_like(im.tau), 10 * im.tau, rng.uniform(0, 5, im.tau.size)):
-            p = iterate_fixed_point(im.Q, im.tau, p0)
+        h_eff, C, Tt, noise = feasible_power_instance(rng)
+        im = build_interference(Tt, C, gram(h_eff), noise)
+        Q, tau = np.asarray(im.Q), np.asarray(im.tau)
+        p_ref = solve_power_fixed_point(Q, tau).p
+        for p0 in (np.zeros_like(tau), 10 * tau, rng.uniform(0, 5, tau.size)):
+            p = iterate_fixed_point(Q, tau, p0)
             np.testing.assert_allclose(p, p_ref, rtol=1e-8)
 
     @pytest.mark.parametrize("gap", [1e-3, 1e-6])
@@ -140,15 +145,16 @@ class TestFixedPoint:
                 assert np.all(solve_power_fixed_point(q, tau).p >= 0.0)
 
     def test_monotone_from_zero(self, rng):
-        h_eff, F, Tt, noise = feasible_power_instance(rng)
-        im = build_interference(Tt, F, h_eff, noise)
+        h_eff, C, Tt, noise = feasible_power_instance(rng)
+        im = build_interference(Tt, C, gram(h_eff), noise)
+        Q, tau = np.asarray(im.Q), np.asarray(im.tau)
         # the update map preserves componentwise ordering from p = 0
-        p = np.zeros_like(im.tau)
+        p = np.zeros_like(tau)
         for _ in range(200):
-            p_next = im.Q @ p + im.tau
+            p_next = Q @ p + tau
             assert np.all(p_next >= p - 1e-15)
             p = p_next
-        np.testing.assert_allclose(p, solve_power_fixed_point(im.Q, im.tau).p, rtol=1e-8)
+        np.testing.assert_allclose(p, solve_power_fixed_point(Q, tau).p, rtol=1e-8)
 
     def test_infeasible_instance_raises(self):
         q = np.array([[0.0, 2.0], [2.0, 0.0]])
@@ -159,7 +165,7 @@ class TestFixedPoint:
 class TestMvdr:
     def test_single_user_matched_filter(self, rng):
         h = crandn(rng, 1, 6)
-        f = mvdr_bank(np.ones(1), h, noise_power=0.37)[0]
+        f = mvdr_rows(np.ones(1), h, noise=0.37)[0]
         np.testing.assert_allclose(f, h[0] / np.linalg.norm(h[0]) ** 2, rtol=1e-12)
         assert abs(np.vdot(f, h[0]) - 1.0) < 1e-12
 
@@ -167,7 +173,7 @@ class TestMvdr:
         for _ in range(30):
             h = crandn(rng, 3, 8)
             p = rng.uniform(0.1, 3.0, 3)
-            F = mvdr_bank(p, h, 0.5)
+            F = mvdr_rows(p, h, 0.5)
             for k in range(3):
                 assert abs(np.vdot(F[k], h[k]) - 1.0) < 1e-12
 
@@ -180,7 +186,7 @@ class TestMvdr:
             for j in range(K):
                 if j != k:
                     R += p[j] * np.outer(h[j], h[j].conj())
-            f = mvdr_bank(p, h, noise)[k]
+            f = mvdr_rows(p, h, noise)[k]
             base = np.vdot(f, R @ f).real
             for _ in range(100):
                 g = f + 0.3 * crandn(rng, M)
@@ -197,7 +203,7 @@ class TestMvdr:
             p = rng.uniform(0.1, 3.0, K)
             if draw == 0:
                 p[0] = 0.0
-            F = mvdr_bank(p, h, noise)
+            F = mvdr_rows(p, h, noise)
             for k in range(K):
                 R_k = noise * np.eye(M, dtype=complex)
                 for j in range(K):
@@ -206,9 +212,28 @@ class TestMvdr:
                 x = np.linalg.solve(R_k, h[k])
                 np.testing.assert_allclose(F[k], x / np.vdot(h[k], x), rtol=1e-10)
 
+    @pytest.mark.parametrize("eps", [1e-3, 1e-6, 1e-9])
+    def test_near_collinear_users(self, rng, eps):
+        # h_2 = e^j h_1 + eps n makes the Gram matrix nearly singular; rows
+        # normalized in Gram form miss f^H h = 1 by up to 8e-12 here
+        M, noise = 32, 0.01
+        for _ in range(20):
+            h1 = crandn(rng, M)
+            h = np.array([h1, np.exp(1j) * h1 + eps * crandn(rng, M)])
+            p = rng.uniform(0.1, 3.0, 2)
+            F = mvdr_rows(p, h, noise)
+            ref = np.empty_like(F)
+            for k in range(2):
+                R_k = noise * np.eye(M) + p[1 - k] * np.outer(h[1 - k], h[1 - k].conj())
+                x = np.linalg.solve(R_k, h[k])
+                ref[k] = x / np.vdot(h[k], x)
+            assert np.max(np.abs(F - ref)) <= 1e-10 * np.max(np.abs(ref))
+            for k in range(2):
+                assert abs(np.vdot(F[k], h[k]) - 1.0) <= 1e-12
+
     def test_requires_positive_noise(self, rng):
         with pytest.raises(ValueError):
-            mvdr_bank(np.ones(1), crandn(rng, 1, 3), 0.0)
+            mvdr_bank(np.ones(1), gram(crandn(rng, 1, 3)), 0.0)
 
 
 class TestJointUpdates:
@@ -217,19 +242,20 @@ class TestJointUpdates:
         from irsuplink import SolverState, sinr
 
         for _ in range(20):
-            h_eff, F, Tt, noise = feasible_power_instance(rng)
-            im = build_interference(Tt, F, h_eff, noise)
+            h_eff, C, Tt, noise = feasible_power_instance(rng)
+            im = build_interference(Tt, C, gram(h_eff), noise)
             p = solve_power_fixed_point(im.Q, im.tau).p
-            st = SolverState(p=p, F=F, theta=np.zeros(0, complex), h_eff=h_eff)
+            st = SolverState(p=p, F=detectors(C, h_eff), theta=np.zeros(0, complex), h_eff=h_eff)
             for k in range(len(p)):
                 assert sinr(st, noise, k) == pytest.approx(Tt[k], rel=1e-8)
 
     def test_mvdr_update_never_raises_total_power(self, rng):
         for _ in range(20):
-            h_eff, F, Tt, noise = feasible_power_instance(rng)
-            im = build_interference(Tt, F, h_eff, noise)
+            h_eff, C, Tt, noise = feasible_power_instance(rng)
+            A = gram(h_eff)
+            im = build_interference(Tt, C, A, noise)
             p_before = solve_power_fixed_point(im.Q, im.tau).p
-            F2 = mvdr_bank(p_before, h_eff, noise)
-            im2 = build_interference(Tt, F2, h_eff, noise)
+            C2 = mvdr_bank(p_before, A, noise)
+            im2 = build_interference(Tt, C2, A, noise)
             p_after = solve_power_fixed_point(im2.Q, im2.tau).p
             assert p_after.sum() <= p_before.sum() * (1 + 1e-10)
