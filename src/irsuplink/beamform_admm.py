@@ -59,14 +59,17 @@ class FractionalObjective:
     def num_phases(self) -> int:
         return self.coeffs.g.shape[2]
 
-    def parts(self, theta: np.ndarray):
-        """Numerators A_k(theta) and denominators B_k(theta)."""
+    def _signals(self, theta: np.ndarray):
+        """Signal matrix S, its squared moduli and the numerators A_k(theta)."""
         S = self.coeffs.signal_matrix(theta)
         s2 = np.abs(S) ** 2
         interf = (s2 * self._mask) @ self.p
-        A = self.Ttilde * (interf + self._noise)
-        B = np.diag(s2).copy()
-        return A, B
+        return S, s2, self.Ttilde * (interf + self._noise)
+
+    def parts(self, theta: np.ndarray):
+        """Numerators A_k(theta) and denominators B_k(theta)."""
+        _, s2, A = self._signals(theta)
+        return A, np.diag(s2).copy()
 
     def value(self, theta: np.ndarray) -> float:
         A, B = self.parts(theta)
@@ -91,10 +94,7 @@ class FractionalObjective:
 
     def _ja_value_grad(self, theta: np.ndarray, beta: np.ndarray):
         """sum_k J_A,k and its complex gradient (2 d/d theta*)."""
-        S = self.coeffs.signal_matrix(theta)
-        s2 = np.abs(S) ** 2
-        interf = (s2 * self._mask) @ self.p
-        A = self.Ttilde * (interf + self._noise)
+        S, _, A = self._signals(theta)
         val = float(np.sum(beta * A**2))
         # dA_k/dtheta* = T~_k sum_{j!=k} p_j s_kj g_kj
         weights = (self._mask * S) * self.p[None, :]

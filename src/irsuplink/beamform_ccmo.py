@@ -1,13 +1,13 @@
 """Latency-residual maximization by gradient descent on the product of
 complex circles.
 
-The per-user SINR slacks are quadratic in the phase vector, so their sum
-is theta^H U theta + 2 Re(theta^H v) + C with U Hermitian. Maximizing it
-over unit-modulus coordinates is equivalent to minimizing
-f(theta) = -theta^H U theta - 2 Re(theta^H v) on the manifold
-{|theta_n| = 1}. Descent steps project the Euclidean gradient onto the
-tangent space and retract coordinatewise, with the step size capped by
-the inverse largest eigenvalue magnitude of U.
+The per-user SINR slacks sum to sum_i w_i |b_i + g_i^H theta|^2 + const
+over the r = K^2 pairs (k, j), with weight p_k on (k, k) and
+-Ttilde_k p_j elsewhere. The form keeps the r rows g_i and reads theta
+only through x = g* theta, so no N x N matrix is built. Descent minimizes
+the negated sum on {|theta_n| = 1}: tangent projection, coordinatewise
+retraction, and a step capped by 1/max|eig(U)| for U = sum_i w_i g_i g_i^H,
+read exactly from an r x r matrix with the same nonzero spectrum.
 """
 
 from __future__ import annotations
@@ -38,51 +38,41 @@ class RetractionSingularityError(ArithmeticError):
 
 @dataclass(frozen=True)
 class QuadraticForm:
-    """f0(theta) = theta^H U theta + 2 Re(theta^H v) + C, U Hermitian."""
+    """f0(theta) = sum_i w_i (|x_i|^2 + 2 Re(conj(b_i) x_i)) + C with
+    x = g* theta: g (r, N), b (r,), real weights w (r,)."""
 
-    U: np.ndarray
-    v: np.ndarray
+    g: np.ndarray
+    b: np.ndarray
+    w: np.ndarray
     C: float
 
     def value(self, theta: np.ndarray) -> float:
         """The latency-residual sum (objective being maximized)."""
-        quad = float(np.real(np.vdot(theta, self.U @ theta)))
-        lin = 2.0 * float(np.real(np.vdot(theta, self.v)))
-        return quad + lin + self.C
+        return self.C - self.descent_value(theta)
 
     def descent_value(self, theta: np.ndarray) -> float:
         """Negated objective without the constant (what descent minimizes)."""
-        return -(self.value(theta) - self.C)
+        x = self.g.conj() @ theta
+        return -float(np.dot(self.w, np.abs(x) ** 2 + 2.0 * np.real(self.b.conj() * x)))
 
 
 def assemble_quadratic(coeffs: EffectiveCoeffs, p, Ttilde, noise_power: float) -> QuadraticForm:
-    """Collect the latency-residual sum into (U, v, C)."""
+    """Stack the K^2 pair terms of the latency-residual sum into (g, b, w, C)."""
     p = np.asarray(p, dtype=float)
     Ttilde = np.asarray(Ttilde, dtype=float)
-    k = p.shape[0]
-    idx = np.arange(k)
-    gdiag = coeffs.g[idx, idx]  # (K, N)
-    bdiag = coeffs.b[idx, idx]  # (K,)
-    mask = 1.0 - np.eye(k)
-    cross = Ttilde[:, None] * p[None, :] * mask  # (K, K) interference weights
-
-    U = np.einsum("k,kn,km->nm", p, gdiag, gdiag.conj())
-    U -= np.einsum("kj,kjn,kjm->nm", cross, coeffs.g, coeffs.g.conj())
-    U = 0.5 * (U + U.conj().T)
-
-    v = np.einsum("k,k,kn->n", p, bdiag, gdiag)
-    v -= np.einsum("kj,kj,kjn->n", cross, coeffs.b, coeffs.g)
-
-    b2 = np.abs(coeffs.b) ** 2
-    C = float(np.sum(p * np.abs(bdiag) ** 2)
-              - np.sum(cross * b2)
-              - np.sum(Ttilde * noise_power * coeffs.f_norm_sq))
-    return QuadraticForm(U=U, v=v, C=C)
+    k, _, n = coeffs.g.shape
+    w = -Ttilde[:, None] * p[None, :]
+    w[np.arange(k), np.arange(k)] = p
+    C = float(np.sum(w * np.abs(coeffs.b) ** 2)
+              - noise_power * np.sum(Ttilde * coeffs.f_norm_sq))
+    return QuadraticForm(g=coeffs.g.reshape(k * k, n), b=coeffs.b.ravel(), w=w.ravel(), C=C)
 
 
 def riemannian_gradient(theta: np.ndarray, form: QuadraticForm) -> np.ndarray:
-    """Euclidean gradient -2(U theta + v) projected onto the tangent space."""
-    egrad = -2.0 * (form.U @ theta + form.v)
+    """Euclidean gradient -2 g^T (w (b + g* theta)) projected onto the
+    tangent space."""
+    x = form.g.conj() @ theta
+    egrad = -2.0 * (form.g.T @ (form.w * (form.b + x)))
     return egrad - np.real(egrad.conj() * theta) * theta
 
 
@@ -95,34 +85,11 @@ def retract(theta: np.ndarray, step: np.ndarray) -> np.ndarray:
     return y / mag
 
 
-def largest_eigen_magnitude(U: np.ndarray, max_iter: int = 200, tol: float = 1e-12) -> float:
-    """max |eigenvalue| of a Hermitian matrix by power iteration on the
-    Frobenius-shifted matrices U + cI and cI - U (both PSD for c = ||U||_F)."""
-    c = float(np.linalg.norm(U))
-    if c == 0.0:
-        return 0.0
-    n = U.shape[0]
-    v0 = np.exp(1j * np.linspace(0.0, 1.0, n)) / np.sqrt(n)
-
-    def dominant(mat):
-        v = v0.copy()
-        lam = 0.0
-        for _ in range(max_iter):
-            w = mat @ v
-            nrm = np.linalg.norm(w)
-            if nrm == 0.0:
-                return 0.0
-            v = w / nrm
-            lam_next = float(np.real(np.vdot(v, mat @ v)))
-            if abs(lam_next - lam) <= tol * c:
-                return lam_next
-            lam = lam_next
-        return lam
-
-    eye = np.eye(n)
-    lam_max = dominant(U + c * eye) - c
-    lam_min = c - dominant(c * eye - U)
-    return max(abs(lam_max), abs(lam_min))
+def largest_eigen_magnitude(form: QuadraticForm) -> float:
+    """max |eigenvalue| of U = g^T diag(w) g*, from the r x r matrix
+    diag(w) g* g^T, which has the same nonzero eigenvalues."""
+    small = form.w[:, None] * (form.g.conj() @ form.g.T)
+    return float(np.max(np.abs(np.linalg.eigvals(small))))
 
 
 @dataclass(frozen=True)
@@ -137,21 +104,17 @@ class CcmoResult:
 
 
 def run_ccmo(form: QuadraticForm, theta0: np.ndarray, max_iter: int = 5000,
-             tol: float = 1e-8, step_size: float | None = None,
-             record_path: bool = False) -> CcmoResult:
-    """Riemannian gradient descent with a constant step bounded by
-    1/max|eig(U)|.
+             tol: float = 1e-8, record_path: bool = False) -> CcmoResult:
+    """Riemannian gradient descent from the constant step 1/max|eig(U)|,
+    the exact bound from `largest_eigen_magnitude` (1 when U = 0).
 
     tol is a relative threshold on the objective change. Steps that would
     increase the objective (or hit a retraction singularity) are halved up
     to 50 times; if no decrease is found the iterate is stationary and the
     best point so far is returned. record_path keeps every iterate.
     """
-    lam = largest_eigen_magnitude(form.U)
-    if lam > 0.0:
-        zeta0 = 1.0 / lam if step_size is None else min(step_size, 1.0 / lam)
-    else:
-        zeta0 = 1.0 if step_size is None else step_size
+    lam = largest_eigen_magnitude(form)
+    zeta0 = 1.0 / lam if lam > 0.0 else 1.0
 
     theta = np.asarray(theta0, dtype=complex).copy()
     f = form.descent_value(theta)
@@ -162,7 +125,6 @@ def run_ccmo(form: QuadraticForm, theta0: np.ndarray, max_iter: int = 5000,
     for it in range(1, max_iter + 1):
         grad = riemannian_gradient(theta, form)
         zeta = zeta0
-        accepted = False
         for _ in range(50):
             try:
                 cand = retract(theta, -zeta * grad)
@@ -171,10 +133,9 @@ def run_ccmo(form: QuadraticForm, theta0: np.ndarray, max_iter: int = 5000,
                 continue
             f_new = form.descent_value(cand)
             if f_new <= f:
-                accepted = True
                 break
             zeta *= 0.5
-        if not accepted:
+        else:  # no decrease along the gradient: stationary
             converged = True
             break
         small = abs(f_new - f) <= tol * max(abs(f), abs(f_new), 1e-300)
@@ -203,8 +164,7 @@ def optimize_phases(form: QuadraticForm, theta0: np.ndarray, restarts: int = 0,
                key=lambda r: r.descent_value)
 
 
-def aligned_phases(coeffs: EffectiveCoeffs, k: int = 0) -> np.ndarray:
-    """Single-user heuristic start: phases aligning each reflected term
-    with the direct term b_kk, i.e. theta_n = exp(j(arg b_kk + arg g_kk,n))."""
-    g = coeffs.g[k, k]
-    return np.exp(1j * (np.angle(coeffs.b[k, k]) + np.angle(g)))
+def aligned_phases(coeffs: EffectiveCoeffs) -> np.ndarray:
+    """Single-user start: phases aligning each reflected term with the
+    direct term b_11, i.e. theta_n = exp(j(arg b_11 + arg g_11,n))."""
+    return np.exp(1j * (np.angle(coeffs.b[0, 0]) + np.angle(coeffs.g[0, 0])))

@@ -208,7 +208,16 @@ def _build_config(base: dict, variable: str, value) -> tuple[SystemConfig, objec
         ap_xy=tuple(params["ap_xy"]),
         irs_xy=tuple(params["irs_xy"]),
         user_xy=users[:k],
-    ), params["D_nats"]
+    ), _data_size_spec(params["D_nats"])
+
+
+def _data_size_spec(d):
+    """D_nats as a size >= 0 for every user, or a pair 0 <= lo <= hi to draw from."""
+    spec = tuple(float(x) for x in d) if isinstance(d, (list, tuple)) else float(d)
+    bounds = spec if isinstance(spec, tuple) else (spec, spec)
+    if len(bounds) != 2 or not 0.0 <= bounds[0] <= bounds[1]:
+        raise ValueError(f"D_nats must be a size >= 0 or a pair 0 <= lo <= hi, got {d!r}")
+    return spec
 
 
 def _draw_data_sizes(d_spec, k: int, rng: np.random.Generator) -> np.ndarray:

@@ -68,6 +68,23 @@ def random_coeffs(rng, K, N, scale=1.0):
     return EffectiveCoeffs(b=b, g=g, f_norm_sq=f_norm_sq)
 
 
+def residual_sums(coeffs, p, Ttilde, noise, thetas):
+    """The latency-residual sum at each row of thetas (S, N), read from the
+    stacked signal matrix s[i, k, j] = b_kj + g_kj^H theta_i."""
+    s2 = np.abs(coeffs.b[None] + np.einsum("kjn,in->ikj", coeffs.g.conj(), thetas)) ** 2
+    own = np.einsum("ikk->ik", s2) * p
+    interf = np.einsum("ikj,j->ik", s2 * (1.0 - np.eye(len(p))), p)
+    return np.sum(own - Ttilde * (interf + noise * coeffs.f_norm_sq), axis=1)
+
+
+def dense_residual_matrix(coeffs, p, Ttilde):
+    """The N x N Hermitian U of the residual sum: sum_k p_k g_kk g_kk^H
+    - sum_{k != j} Ttilde_k p_j g_kj g_kj^H."""
+    K = len(p)
+    weights = np.where(np.eye(K, dtype=bool), p[None, :], -np.outer(Ttilde, p))
+    return np.einsum("kj,kjn,kjm->nm", weights, coeffs.g, coeffs.g.conj())
+
+
 def mvdr_rows(p, h_eff, noise):
     """The MVDR detector rows F (K, M) over the channels h_eff."""
     return detectors(mvdr_bank(p, gram(h_eff), noise), h_eff)

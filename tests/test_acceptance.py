@@ -38,7 +38,7 @@ from irsuplink import (
 from irsuplink.experiments import _build_config
 from irsuplink.system import SolverState, effective_channel, effective_coeffs
 from conftest import (crandn, feasible_power_instance, iterate_fixed_point, mvdr_rows,
-                      random_coeffs, single_user_oracle)
+                      random_coeffs, residual_sums, single_user_oracle)
 
 
 def report(num, ok, detail):
@@ -203,8 +203,7 @@ def test_criterion_06_ccmo_correctness_and_grid_quality():
         # (e) within 95% of the exhaustive grid range
         from irsuplink import optimize_phases
 
-        quad = np.einsum("in,nm,im->i", grid.conj(), form.U, grid).real
-        vals = quad + 2 * np.einsum("in,n->i", grid.conj(), form.v).real + form.C
+        vals = residual_sums(coeffs, p, Tt, noise, grid)
         lo, hi = vals.min(), vals.max()
         best = max(res.residual_value,
                    optimize_phases(form, np.ones(3, complex), restarts=3,

@@ -239,13 +239,23 @@ class TestCli:
         assert cli_main(["validate", "--spec", str(bad)]) == 1
 
     @pytest.mark.parametrize("command", ["validate", "run"])
-    @pytest.mark.parametrize("variable, value", [("rho_b", 1.5), ("N", 0)])
+    @pytest.mark.parametrize("variable, value, base", [
+        ("rho_b", 1.5, {}),
+        ("N", 0, {}),
+        ("N", 8, {"D_nats": [5000, 6000, 7000]}),
+        ("N", 8, {"D_nats": [8000, 5000]}),
+        ("N", 8, {"D_nats": "abc"}),
+        ("N", 8, {"D_nats": -5}),
+        ("D", -5, {}),
+    ], ids=["rho_b-1.5", "N-0", "D_nats-triple", "D_nats-reversed", "D_nats-text",
+            "D_nats-negative", "D--5"])
     def test_out_of_range_grid_value_is_spec_error(self, tmp_path, capsys, command,
-                                                   variable, value):
+                                                   variable, value, base):
         out = tmp_path / "x.csv"
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"name": "x", "sweep_variable": variable, "grid": [value],
-                                    "trials": 1, "solvers": ["none"], "output": str(out)}))
+                                    "trials": 1, "solvers": ["none"], "output": str(out),
+                                    "base": base}))
         assert cli_main([command, "--spec", str(spec)]) == 1
         assert "spec error" in capsys.readouterr().err
         assert not out.exists()
