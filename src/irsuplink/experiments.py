@@ -55,7 +55,6 @@ BASE_DEFAULTS = {
     "L": 3,
     "rho_b": 0.0,
     "N_u": 1,
-    "carrier_hz": 28e9,
     "ap_xy": (0.0, 0.0),
     "irs_xy": (80.0, 0.0),
     "d_x1": 40.0,
@@ -204,7 +203,6 @@ def _build_config(base: dict, variable: str, value) -> tuple[SystemConfig, objec
         L=int(params["L"]),
         rho_b=float(params["rho_b"]),
         N_u=int(params["N_u"]),
-        carrier_hz=float(params["carrier_hz"]),
         ap_xy=tuple(params["ap_xy"]),
         irs_xy=tuple(params["irs_xy"]),
         user_xy=users[:k],
@@ -238,7 +236,7 @@ def _run_trial(cfg: SystemConfig, d_spec, solver: str, sweep_variable: str,
     fw = FrameworkConfig(beamformer=solver)
     start = time.perf_counter()
     try:
-        if sweep_variable == "N_u":
+        if sweep_variable == "N_u" or cfg.N_u > 1:
             channels = sample_multi_antenna_channels(cfg, rng_channel)
             _, state, trace = solve_multi_antenna(cfg, channels, profile, fw, rng_solver)
         else:

@@ -1,12 +1,12 @@
 """Alternating optimization over powers, detectors and IRS phases.
 
-One outer iteration runs block-coordinate sweeps: MVDR detectors, a
-passive-beamforming update, and an exact power solve, until the total
-power settles. Every phase (and transmit-beamformer) candidate is
-acceptance-gated: it is kept only if the re-solved total power does not
-increase and the spectral-radius condition still holds, which makes the
-recorded total power nonincreasing across outer iterations by
-construction.
+One loop optimizes the three blocks in turn until the total power settles:
+each iteration runs the MVDR detectors, a passive-beamforming candidate
+(for ccmo and admm), and one exact power solve shared by every solver.
+Every phase (and transmit-beamformer) candidate is acceptance-gated: it is
+kept only if the re-solved total power does not increase and the
+spectral-radius condition still holds, which makes the recorded total
+power nonincreasing across iterations by construction.
 """
 
 from __future__ import annotations
@@ -46,10 +46,9 @@ __all__ = [
 
 BEAMFORMERS = ("ccmo", "admm", "none", "fixed-random")
 
-OUTER_TOL = 1e-6  # relative change of the total power that ends the outer loop
-INNER_TOL = 1e-5  # same for the inner sweeps, and a negligible phase-update gain
-MAX_OUTER = 100
-MAX_INNER = 50
+OUTER_TOL = 1e-6  # relative change of the total power that ends the loop
+INNER_TOL = 1e-5  # relative power gain below which a phase update is negligible
+MAX_OUTER = 5000  # cap on AO iterations
 RESTARTS = 3  # random CCMO starts on the first phase update
 CCMO_MAX_ITER = 2000
 CCMO_TOL = 1e-8
@@ -71,7 +70,8 @@ class FrameworkConfig:
 
 @dataclass
 class ConvergenceTrace:
-    """Per-outer-iteration records."""
+    """Per-AO-iteration records: the total power after each iteration;
+    outer_iterations counts the AO iterations."""
 
     sum_power: list = field(default_factory=list)
     converged: bool = False
@@ -88,7 +88,8 @@ def _initial_theta_candidates(beamformer: str, n: int, rng: np.random.Generator)
 
 
 def _powers(Ttilde, C, A, noise, X=None):
-    """Powers of the detectors C facing cross-Gram X (default A), or None if infeasible."""
+    """Powers of the detectors C facing cross-Gram X (default A), or None
+    if infeasible or a detector is degenerate."""
     try:
         im = build_interference(Ttilde, C, A, noise, X)
         return solve_power_fixed_point(im.Q, im.tau).p
@@ -102,8 +103,10 @@ def solve(cfg: SystemConfig, channels: ChannelSet, profile: LatencyProfile,
 
     Returns (SolverState, ConvergenceTrace). Raises InfeasibleError when no
     initial phase candidate passes the spectral-radius gate, or when the
-    current iterate fails it after a detector update. The loop carries the
-    Gram matrix A of h_eff and the detectors' coefficient rows C (F = C h_eff).
+    power step fails it (or meets a degenerate detector) after a detector
+    update. The loop stops the first time the total power changes by at most
+    OUTER_TOL relative between two AO iterations. It carries the Gram matrix
+    A of h_eff and the detectors' coefficient rows C (F = C h_eff).
     """
     fw = fw or FrameworkConfig()
     if rng is None:
@@ -114,7 +117,7 @@ def solve(cfg: SystemConfig, channels: ChannelSet, profile: LatencyProfile,
     n = ch.num_irs_elements
 
     # the first candidate whose matched-filter power solve passes its
-    # spectral-radius gate; those powers start the first outer iteration
+    # spectral-radius gate; those powers start the loop
     theta = None
     for cand in _initial_theta_candidates(fw.beamformer, n, rng):
         h_eff = effective_channel(ch, cand)
@@ -130,48 +133,41 @@ def solve(cfg: SystemConfig, channels: ChannelSet, profile: LatencyProfile,
         raise InfeasibleError("no initial phase candidate passes the spectral-radius gate")
 
     trace = ConvergenceTrace()
-    prev_outer_sum = np.inf
     first_beam_call = True
     beam_stale = 0  # consecutive negligible theta updates; 2 freezes the beamformer
     for t in range(1, MAX_OUTER + 1):
-        # p is already the exact solve at the current (C, theta)
-        prev_inner_sum = sum(p.tolist())
-        for _ in range(MAX_INNER):
-            C, basis = mvdr_bank(p, A, noise), h_eff
-            if fw.beamformer in ("ccmo", "admm") and n > 0 and beam_stale < 2:
-                coeffs = effective_coeffs(ch, detectors(C, h_eff))
-                cand = _beamformer_candidate(fw, coeffs, p, Ttilde, noise, theta,
-                                             first_beam_call, rng)
-                first_beam_call = False
-                base = _powers(Ttilde, C, A, noise)
-                # the candidate's channels face the detectors F = C h_eff held
-                # fixed in M-space, through the cross-Gram h_cand^* h_eff^T
-                h_cand = effective_channel(ch, cand)
-                trial = _powers(Ttilde, C, A, noise, gram(h_cand, h_eff))
-                if base is None:
-                    raise InfeasibleError("current iterate became infeasible")
-                base_sum = sum(base.tolist())
-                if trial is not None and sum(trial.tolist()) <= base_sum:
-                    theta, h_eff, A, p = cand, h_cand, gram(h_cand), trial
-                    gain = base_sum - sum(p.tolist())
-                    beam_stale = beam_stale + 1 if gain <= INNER_TOL * base_sum else 0
-                else:
-                    p = base
-                    beam_stale += 1
-            else:  # theta is unchanged, and so are h_eff and A
-                im = build_interference(Ttilde, C, A, noise)
-                p = solve_power_fixed_point(im.Q, im.tau).p
-            s = sum(p.tolist())
-            if abs(s - prev_inner_sum) <= INNER_TOL * max(prev_inner_sum, s, 1e-300):
-                break
-            prev_inner_sum = s
+        # p is the exact solve at the current (C, theta)
+        C, basis = mvdr_bank(p, A, noise), h_eff
+        optimize = fw.beamformer in ("ccmo", "admm") and n > 0 and beam_stale < 2
+        if optimize:
+            coeffs = effective_coeffs(ch, detectors(C, h_eff))
+            cand = _beamformer_candidate(fw, coeffs, p, Ttilde, noise, theta,
+                                         first_beam_call, rng)
+            first_beam_call = False
+        p = _powers(Ttilde, C, A, noise)
+        if p is None:
+            raise InfeasibleError("current iterate became infeasible")
+        if optimize:
+            # the candidate's channels face the detectors F = C h_eff held
+            # fixed in M-space, through the cross-Gram h_cand^* h_eff^T
+            h_cand = effective_channel(ch, cand)
+            trial = _powers(Ttilde, C, A, noise, gram(h_cand, h_eff))
+            base_sum = sum(p.tolist())
+            if trial is not None and sum(trial.tolist()) <= base_sum:
+                theta, h_eff, A, p = cand, h_cand, gram(h_cand), trial
+                gain = base_sum - sum(p.tolist())
+                beam_stale = beam_stale + 1 if gain <= INNER_TOL * base_sum else 0
+            else:
+                beam_stale += 1
+        s = sum(p.tolist())
         trace.sum_power.append(s)
         trace.outer_iterations = t
-        if np.isfinite(prev_outer_sum) and \
-                abs(s - prev_outer_sum) <= OUTER_TOL * max(prev_outer_sum, s, 1e-300):
+        # the start powers come from matched filters, not from an AO
+        # iteration, so the first iteration has nothing to be compared with
+        if t > 1 and abs(s - prev_sum) <= OUTER_TOL * max(prev_sum, s, 1e-300):
             trace.converged = True
             break
-        prev_outer_sum = s
+        prev_sum = s
     return SolverState(p=p, F=detectors(C, basis), theta=theta, h_eff=h_eff), trace
 
 

@@ -29,8 +29,6 @@ __all__ = [
     "watts_to_dbm",
 ]
 
-SPEED_OF_LIGHT = 299_792_458.0
-
 # 28 GHz measurement fits (LoS / NLoS)
 LOS_PATH_LOSS = PathLossParams(chi_a=61.4, chi_b=2.0, sigma_kappa=5.8)
 NLOS_PATH_LOSS = PathLossParams(chi_a=72.0, chi_b=2.92, sigma_kappa=8.7)
@@ -61,7 +59,6 @@ class SystemConfig:
     L: int = 3
     rho_b: float = 0.0
     N_u: int = 1
-    carrier_hz: float = 28e9
     ap_xy: tuple[float, float] = (0.0, 0.0)
     irs_xy: tuple[float, float] = (80.0, 0.0)
     user_xy: tuple[tuple[float, float], ...] = ((40.0, 40.0),)
@@ -81,10 +78,6 @@ class SystemConfig:
     @property
     def N(self) -> int:
         return self.N_az * self.N_el
-
-    @property
-    def wavelength(self) -> float:
-        return SPEED_OF_LIGHT / self.carrier_hz
 
 
 def protection_ratios(D, W: float, T: float) -> np.ndarray:
@@ -118,8 +111,6 @@ def effective_channel(ch: ChannelSet, theta: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"theta has length {theta.shape}, expected ({ch.num_irs_elements},)"
         )
-    if ch.num_irs_elements == 0:
-        return ch.h_direct.copy()
     return ch.h_direct + (ch.G @ (ch.h_irs * theta).T).T
 
 
@@ -148,8 +139,6 @@ class EffectiveCoeffs:
 
     def signal_matrix(self, theta: np.ndarray) -> np.ndarray:
         """s[k, j] = b[k, j] + g[k, j]^H theta."""
-        if self.g.shape[2] == 0:
-            return self.b.copy()
         return self.b + np.einsum("kjn,n->kj", self.g.conj(), theta)
 
 

@@ -1,3 +1,10 @@
+import os
+
+# BLAS pinned to one thread before numpy loads, as in bench/run.py, so that
+# suite wall times compare like the benchmark's
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 from typing import NamedTuple
 
 import numpy as np

@@ -171,6 +171,26 @@ class TestSweepVariables:
         row = table.rows[0]
         assert len(row.powers_dbm) == 2
 
+    def test_base_n_u_solves_multi_antenna(self):
+        # a base N_u above 1 takes the multi-antenna path at every grid point
+        from irsuplink import (FrameworkConfig, LatencyProfile, sample_multi_antenna_channels,
+                               solve_multi_antenna, watts_to_dbm)
+        from irsuplink.experiments import _SOLVER_INDEX, _draw_data_sizes
+
+        spec = tiny_spec(name="base-nu", grid=(8, 16), trials=2, solvers=("fixed-random",),
+                         base={"M": 8, "K": 2, "rho_b": 1.0, "N_u": 2})
+        table = run_experiment(spec)
+        for i, row in enumerate(table.rows):  # sorted by value; trials in draw order
+            trial = i % spec.trials
+            cfg, d_spec = _build_config(spec.base, "N", row.sweep_value)
+            mu = sample_multi_antenna_channels(cfg, np.random.default_rng([spec.seed, trial, 0]))
+            D = _draw_data_sizes(d_spec, cfg.K, np.random.default_rng([spec.seed, trial, 1]))
+            _, st, _ = solve_multi_antenna(
+                cfg, mu, LatencyProfile.from_data(D, cfg.W, cfg.T),
+                FrameworkConfig(beamformer="fixed-random"),
+                np.random.default_rng([spec.seed, trial, 2, _SOLVER_INDEX["fixed-random"]]))
+            assert row.powers_dbm == tuple(float(x) for x in watts_to_dbm(st.p))
+
 
 class TestCsv:
     def test_round_trip_and_schema(self, tmp_path):

@@ -3,11 +3,13 @@ import pytest
 
 from irsuplink import framework, power_detect
 from irsuplink import (
+    ExperimentSpec,
     FrameworkConfig,
     InfeasibleError,
     LatencyProfile,
     SystemConfig,
     latency,
+    run_experiment,
     sample_channel_set,
     sample_multi_antenna_channels,
     sinr,
@@ -145,7 +147,7 @@ class TestOneGatePerQ:
     @pytest.mark.parametrize("solver", ["none", "fixed-random"])
     def test_one_power_solve_per_mvdr_update(self, monkeypatch, solver):
         # the initial candidate's solve, then one per detector update: the
-        # outer loop carries p over instead of solving the same (Q, tau) again
+        # loop carries p over instead of solving the same (Q, tau) again
         cfg = small_cfg(K=2, rho_b=0.5)
         ch, prof = draw(cfg, 3)
         counts = {"solve": 0, "mvdr": 0}
@@ -155,6 +157,31 @@ class TestOneGatePerQ:
         solve(cfg, ch, prof, FrameworkConfig(beamformer=solver), np.random.default_rng(0))
         assert counts["mvdr"] > 0
         assert counts["solve"] == 1 + counts["mvdr"]
+
+
+class TestDegenerateIterate:
+    def test_degenerate_power_step_is_an_infeasible_trial(self, monkeypatch):
+        # the initial candidate's power solve runs, every later one meets a
+        # degenerate detector
+        real = framework.build_interference
+        calls = []
+
+        def build(*args):
+            calls.append(1)
+            if len(calls) > 1:
+                raise power_detect.DegenerateDetectorError("detector 0 is zero")
+            return real(*args)
+
+        monkeypatch.setattr(framework, "build_interference", build)
+        cfg = small_cfg(K=1, rho_b=0.0)
+        ch, prof = draw(cfg, 11)
+        with pytest.raises(InfeasibleError):
+            solve(cfg, ch, prof, FrameworkConfig(beamformer="none"))
+        calls.clear()
+        spec = ExperimentSpec(name="degenerate", sweep_variable="N", grid=(8,), trials=1,
+                              seed=5, solvers=("none",), base={"M": 8, "N_az": 4, "N_el": 2})
+        (row,) = run_experiment(spec).rows
+        assert not row.feasible
 
 
 class TestGramLoop:
@@ -225,18 +252,18 @@ class TestGramLoop:
 
 
 class TestGolden:
-    """Powers and outer-iteration counts of fixed draws, pinned at rtol 1e-12
+    """Powers and AO-iteration counts of fixed draws, pinned at rtol 1e-12
     so that any change to the numbers of the solver path shows."""
 
     @pytest.mark.parametrize("K, solver, p, outer", [
         (1, "none", [1.2655531549498372e-05], 2),
         (1, "fixed-random", [1.2769583513169645e-05], 2),
-        (1, "ccmo", [1.1667177627192986e-05], 2),
-        (1, "admm", [1.1667270447851942e-05], 3),
+        (1, "ccmo", [1.1667177627192986e-05], 7),
+        (1, "admm", [1.1667316734828502e-05], 20),
         (2, "none", [3.0162633276329626e-06, 0.00011563618412500794], 2),
         (2, "fixed-random", [3.0097960584343948e-06, 4.036432486556494e-05], 2),
-        (2, "ccmo", [3.000844273154635e-06, 5.647228206427589e-06], 2),
-        (2, "admm", [3.0008660006658863e-06, 5.647231777909273e-06], 2),
+        (2, "ccmo", [3.000844273154635e-06, 5.647228206427589e-06], 7),
+        (2, "admm", [3.000869710590261e-06, 5.647232734209323e-06], 15),
     ])
     def test_solve(self, K, solver, p, outer):
         cfg = small_cfg(K=K, rho_b=1.0)
@@ -245,6 +272,7 @@ class TestGolden:
                        np.random.default_rng(0))
         np.testing.assert_allclose(st.p, p, rtol=1e-12)
         assert tr.outer_iterations == outer
+        assert len(tr.sum_power) == tr.outer_iterations
 
     def test_solve_multi_antenna(self):
         cfg = small_cfg(K=2, rho_b=1.0, n_u=2)

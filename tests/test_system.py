@@ -53,7 +53,6 @@ class TestSystemConfigValidation:
     def test_defaults_are_consistent(self):
         cfg = SystemConfig()
         assert cfg.N == 40
-        assert cfg.wavelength == pytest.approx(299792458.0 / 28e9)
 
     def test_rejects_bad_counts(self):
         with pytest.raises(ValueError):
