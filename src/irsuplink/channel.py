@@ -2,11 +2,12 @@
 
 Links are built from normalized array steering vectors, per-path complex
 gains with distance-dependent path loss and lognormal shadowing, and a
-rank-one AP-IRS matrix. All randomness goes through an explicit
-``numpy.random.Generator`` so realizations are reproducible, and the draw
-order is fixed so that a given seed yields the same fading/shadowing
-variates regardless of array sizes (this is what makes sweeps over N,
-gains, distances, or blockage probability paired across grid points).
+rank-one AP-IRS matrix G = u v^H (one LoS path), kept as its factors u (M,)
+and v (N,): no M x N matrix is built. All randomness goes through an
+explicit ``numpy.random.Generator`` so realizations are reproducible, and
+the draw order is fixed so that a given seed yields the same
+fading/shadowing variates regardless of array sizes (this is what makes
+sweeps over N, gains, distances, or blockage probability paired).
 
 Angle convention: arrays live in the (x, y) plane. The AP ULA broadside
 points along +y, the IRS URA faces -x (toward the AP). A link direction is
@@ -18,7 +19,7 @@ Gains in dBi enter the channel amplitudes as 10^(dBi/20).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -97,51 +98,52 @@ class GainParams:
 class ChannelSet:
     """One realization of all links for K single-antenna users.
 
-    h_direct: (K, M) AP-user channels. h_irs: (K, N) IRS-user channels.
-    G: (M, N) rank-one AP-IRS matrix. blockage: (K,) LoS-blocked flags.
+    h_direct: (K, M) AP-user channels. h_irs: (K, N) IRS-user channels. u (M,)
+    and v (N,): the AP-IRS matrix G = u v^H. blockage: (K,) LoS-blocked flags.
     """
 
     h_direct: np.ndarray
     h_irs: np.ndarray
-    G: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
     blockage: np.ndarray
 
     @property
     def num_irs_elements(self) -> int:
-        return self.G.shape[1]
+        return self.v.size
 
     def without_irs(self) -> "ChannelSet":
         """View of the same realization with the IRS absent (N = 0)."""
-        k, m = self.h_direct.shape
-        return ChannelSet(
-            h_direct=self.h_direct,
-            h_irs=np.zeros((k, 0), dtype=complex),
-            G=np.zeros((m, 0), dtype=complex),
-            blockage=self.blockage,
-        )
+        return replace(self, h_irs=self.h_irs[:, :0], v=self.v[:0])
 
 
 @dataclass(frozen=True)
 class MultiAntennaChannels:
     """Per-user matrix channels for N_u-antenna users.
 
-    H_direct: (K, M, N_u); H_irs: (K, N, N_u); G: (M, N).
+    H_direct: (K, M, N_u); H_irs: (K, N, N_u); u (M,), v (N,) with G = u v^H.
     """
 
     H_direct: np.ndarray
     H_irs: np.ndarray
-    G: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
     blockage: np.ndarray
 
     @property
     def num_user_antennas(self) -> int:
         return self.H_direct.shape[2]
 
+    def effective_channels(self, theta: np.ndarray) -> np.ndarray:
+        """H_d,k + G diag(theta) H_irs,k = H_d,k + u ((conj(v) theta)^T H_irs,k), (K, M, N_u)."""
+        z = (self.v.conj() * theta) @ self.H_irs  # (K, N_u)
+        return self.H_direct + self.u[None, :, None] * z[:, None, :]
+
     def reduce(self, qbar: np.ndarray) -> ChannelSet:
         """Collapse to a SIMO set through unit transmit beamformers qbar (K, N_u)."""
         h_d = np.einsum("kmu,ku->km", self.H_direct, qbar)
         h_r = np.einsum("knu,ku->kn", self.H_irs, qbar)
-        return ChannelSet(h_direct=h_d, h_irs=h_r, G=self.G, blockage=self.blockage)
+        return ChannelSet(h_direct=h_d, h_irs=h_r, u=self.u, v=self.v, blockage=self.blockage)
 
 
 def _ula(m: int, sine: float) -> np.ndarray:
@@ -240,20 +242,18 @@ def _irs_links(cfg, user_positions, n_u, rng: np.random.Generator):
     xi_g = _complex_gain(pl_g, rng)
     phi = _directional_sine(cfg.ap_xy, cfg.irs_xy, _AP_BROADSIDE)
     az_g = _directional_sine(cfg.irs_xy, cfg.ap_xy, _IRS_BROADSIDE)
-    a_ap = _ula(cfg.M, phi)
-    a_irs = _ura(n_az, n_el, az_g, 0.0)
-    G = np.sqrt(cfg.M * n) * xi_g * amp_bi * np.outer(a_ap, a_irs.conj())
-    return np.stack(h_irs), G
+    # G = u v^H with the path's scalar on the AP factor u
+    return (np.stack(h_irs), np.sqrt(cfg.M * n) * xi_g * amp_bi * _ula(cfg.M, phi),
+            _ura(n_az, n_el, az_g, 0.0))
 
 
 def _sample_links(cfg, n_u, rng: np.random.Generator):
-    """(direct, IRS-user, G, blockage) in the fixed draw order: blockage
-    flags, then each user's direct paths, each user's IRS link, then G."""
+    """(direct, IRS-user, u, v, blockage) in the fixed draw order: blockage
+    flags, then each user's direct paths, each user's IRS link, then G = u v^H."""
     blocked = np.array([rng.uniform() < cfg.rho_b for _ in range(cfg.K)])
     direct = np.stack([_direct_link(cfg, cfg.user_xy[k], bool(blocked[k]), n_u, rng)
                        for k in range(cfg.K)])
-    irs, G = _irs_links(cfg, cfg.user_xy, n_u, rng)
-    return direct, irs, G, blocked
+    return (direct, *_irs_links(cfg, cfg.user_xy, n_u, rng), blocked)
 
 
 def sample_direct_channel(cfg, user_xy, blocked: bool, rng: np.random.Generator) -> np.ndarray:
@@ -268,7 +268,7 @@ def sample_direct_channel(cfg, user_xy, blocked: bool, rng: np.random.Generator)
 
 
 def sample_irs_links(cfg, user_positions, rng: np.random.Generator):
-    """IRS-user LoS channels h_irs (K, N) and the rank-one AP-IRS matrix G (M, N)."""
+    """IRS-user LoS channels h_irs (K, N) and the factors u (M,), v (N,) of G = u v^H."""
     return _irs_links(cfg, user_positions, None, rng)
 
 

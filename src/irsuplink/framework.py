@@ -208,9 +208,8 @@ def solve_multi_antenna(cfg: SystemConfig, mu_channels: MultiAntennaChannels,
     noise = cfg.noise_power
     for _ in range(TX_MAX_ROUNDS):
         theta = state.theta
-        H_eff = mu_channels.H_direct  # theta is empty when solved without the IRS
-        if theta.size:
-            H_eff = H_eff + mu_channels.G @ (theta[:, None] * mu_channels.H_irs)
+        # theta is empty when solved without the IRS
+        H_eff = mu_channels.effective_channels(theta) if theta.size else mu_channels.H_direct
         # w[k, j] = (H_eff,k)^H f_j: user k's channel seen by detector j
         w = np.einsum("kmu,jm->kju", H_eff.conj(), state.F)
         # row k of the bank over w[k] is parallel to R_k^{-1} w[k, k] (Sherman-Morrison)

@@ -105,13 +105,14 @@ class LatencyProfile:
 
 
 def effective_channel(ch: ChannelSet, theta: np.ndarray) -> np.ndarray:
-    """Composite channels h_k = h_d,k + G diag(h_r,k) theta, as a (K, M) array."""
+    """Composite channels h_k = h_d,k + G diag(h_r,k) theta = h_d,k + z_k u,
+    z_k = v^H diag(h_r,k) theta, as a (K, M) array."""
     theta = np.asarray(theta)
     if theta.shape != (ch.num_irs_elements,):
         raise ValueError(
             f"theta has length {theta.shape}, expected ({ch.num_irs_elements},)"
         )
-    return ch.h_direct + (ch.G @ (ch.h_irs * theta).T).T
+    return ch.h_direct + np.outer((ch.h_irs * theta) @ ch.v.conj(), ch.u)
 
 
 @dataclass(frozen=True)
@@ -144,7 +145,7 @@ class EffectiveCoeffs:
 
 def effective_coeffs(ch: ChannelSet, F: np.ndarray) -> EffectiveCoeffs:
     b = F.conj() @ ch.h_direct.T
-    fg = F.conj() @ ch.G  # (K, N) rows f_k^H G
+    fg = np.outer(F.conj() @ ch.u, ch.v.conj())  # (K, N) rows f_k^H G = (f_k^H u) v^H
     g = (fg[:, None, :] * ch.h_irs[None, :, :]).conj()
     return EffectiveCoeffs(b=b, g=g, f_norm_sq=np.sum(np.abs(F) ** 2, axis=1))
 

@@ -30,12 +30,19 @@ def crandn(rng, *shape):
 
 
 def random_channel_set(rng, K, M, N, blocked=False):
-    """Synthetic unit-scale channels with an exactly rank-one G."""
+    """Synthetic unit-scale channels with a rank-one G = u v^H."""
     h_d = crandn(rng, K, M)
     h_r = crandn(rng, K, N)
-    G = np.outer(crandn(rng, M), crandn(rng, N)) if N else np.zeros((M, 0), complex)
-    return ChannelSet(h_direct=h_d, h_irs=h_r, G=G,
-                      blockage=np.full(K, blocked))
+    if N:
+        u, v = crandn(rng, M), crandn(rng, N).conj()
+    else:
+        u, v = np.zeros(M, complex), np.zeros(0, complex)
+    return ChannelSet(h_direct=h_d, h_irs=h_r, u=u, v=v, blockage=np.full(K, blocked))
+
+
+def dense_G(ch):
+    """Reference M x N AP-IRS matrix G = u v^H of a channel set."""
+    return np.outer(ch.u, ch.v.conj())
 
 
 class SingleUserOracle(NamedTuple):
@@ -49,16 +56,15 @@ class SingleUserOracle(NamedTuple):
 def single_user_oracle(ch):
     """Largest ||h_d + G diag(h_r) theta||^2 over unit-modulus theta at K=1.
 
-    With G = u v^H rank one, h_eff = h_d + u s where s = sum_n conj(v_n)
-    h_r,n theta_n has modulus at most c = sum_n |v_n h_r,n|. The norm is
+    With G = u v^H (the factors ch.u, ch.v), h_eff = h_d + u s where
+    s = sum_n conj(v_n) h_r,n theta_n has modulus at most
+    c = sum_n |v_n h_r,n|. The norm is
     convex in s, so the maximum sits at |s| = c with s phase-aligned to
     u^H h_d (Wu & Zhang, arXiv:1810.03961):
     ||h_d||^2 + c^2 ||u||^2 + 2 c |u^H h_d|. Since p = Ttilde sigma^2 /
     ||h_eff||^2 at K=1, this sets the least power any phase choice reaches.
     """
-    left, sv, right_h = np.linalg.svd(ch.G, full_matrices=False)
-    u, v = sv[0] * left[:, 0], right_h[0].conj()
-    h_d, terms = ch.h_direct[0], v.conj() * ch.h_irs[0]
+    u, h_d, terms = ch.u, ch.h_direct[0], ch.v.conj() * ch.h_irs[0]
     c = float(np.sum(np.abs(terms)))
     cross = np.vdot(u, h_d)
     cascaded = c * c * float(np.vdot(u, u).real)

@@ -15,7 +15,7 @@ from irsuplink import (
     ula_steering,
     ura_steering,
 )
-from conftest import single_user_oracle
+from conftest import dense_G, single_user_oracle
 
 NO_SHADOW_LOS = PathLossParams(chi_a=61.4, chi_b=2.0, sigma_kappa=0.0)
 NO_SHADOW_NLOS = PathLossParams(chi_a=72.0, chi_b=2.92, sigma_kappa=0.0)
@@ -161,8 +161,9 @@ class TestDirectChannel:
 class TestIrsLinks:
     def test_rank_one_and_structure(self, rng):
         cfg = cfg_for(M=4, N_az=3, N_el=2)
-        h_irs, G = sample_irs_links(cfg, cfg.user_xy, rng)
-        s = np.linalg.svd(G, compute_uv=False)
+        h_irs, u, v = sample_irs_links(cfg, cfg.user_xy, rng)
+        assert u.shape == (4,) and v.shape == (6,)
+        s = np.linalg.svd(np.outer(u, v.conj()), compute_uv=False)
         assert s[1] < 1e-10 * s[0]
         # h_r is a scaled steering vector: entries have equal magnitude
         mags = np.abs(h_irs[0])
@@ -175,13 +176,14 @@ class TestIrsLinks:
         expect = 4 * (cfg.gain.amp_irs * cfg.gain.amp_user) ** 2 * 10 ** (-pl / 10)
         acc = 0.0
         for _ in range(10_000):
-            h_irs, _ = sample_irs_links(cfg, cfg.user_xy, rng)
+            h_irs, _, _ = sample_irs_links(cfg, cfg.user_xy, rng)
             acc += np.linalg.norm(h_irs[0]) ** 2
         assert acc / 10_000 == pytest.approx(expect, rel=0.05)
 
     def test_g_outer_product_structure(self, rng):
         cfg = cfg_for(M=2, N_az=2, N_el=1)
-        _, G = sample_irs_links(cfg, cfg.user_xy, rng)
+        _, u, v = sample_irs_links(cfg, cfg.user_xy, rng)
+        G = np.outer(u, v.conj())
         # AP sees the IRS at bearing 0 from broadside +y: sine -1; IRS sees AP broadside
         a_ap = ula_steering(2, -1.0)
         a_irs = ura_steering(2, 1, 0.0, 0.0)
@@ -197,7 +199,8 @@ class TestChannelSet:
         b = sample_channel_set(cfg, np.random.default_rng(5))
         np.testing.assert_array_equal(a.h_direct, b.h_direct)
         np.testing.assert_array_equal(a.h_irs, b.h_irs)
-        np.testing.assert_array_equal(a.G, b.G)
+        np.testing.assert_array_equal(a.u, b.u)
+        np.testing.assert_array_equal(a.v, b.v)
         np.testing.assert_array_equal(a.blockage, b.blockage)
 
     def test_draws_paired_across_array_sizes(self):
@@ -254,7 +257,8 @@ class TestMultiAntenna:
         one = sample_multi_antenna_channels(replace(base, N_u=1), np.random.default_rng(13))
         two = sample_multi_antenna_channels(replace(base, N_u=2), np.random.default_rng(13))
         # the AP-IRS matrix is independent of the user antenna count
-        assert np.linalg.norm(two.G) == pytest.approx(np.linalg.norm(one.G), rel=1e-12)
+        assert np.linalg.norm(dense_G(two)) == pytest.approx(np.linalg.norm(dense_G(one)),
+                                                             rel=1e-12)
         # single LoS path: same gain draw, Frobenius power scales exactly with N_u
         assert mu_total_power(two) / mu_total_power(one) == pytest.approx(2.0, rel=1e-9)
 
@@ -340,10 +344,10 @@ class TestVariateStream:
             rng = np.random.default_rng(seed)
             if n_u is None:
                 draw = sample_channel_set(cfg, rng)
-                arrays = (draw.h_direct, draw.h_irs, draw.G)
+                arrays = (draw.h_direct, draw.h_irs, dense_G(draw))
             else:
                 draw = sample_multi_antenna_channels(cfg, rng)
-                arrays = (draw.H_direct, draw.H_irs, draw.G)
+                arrays = (draw.H_direct, draw.H_irs, dense_G(draw))
             np.testing.assert_allclose([x.flat[0] for x in arrays], firsts, rtol=1e-12)
             np.testing.assert_allclose([np.sum(np.abs(x) ** 2) for x in arrays], powers,
                                        rtol=1e-12)

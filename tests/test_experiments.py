@@ -112,7 +112,7 @@ class TestRunExperiment:
         a = sample_channel_set(cfg, np.random.default_rng([spec.seed, 0, 0]))
         b = sample_channel_set(cfg, np.random.default_rng([spec.seed, 0, 0]))
         assert a.h_direct.tobytes() == b.h_direct.tobytes()
-        assert a.G.tobytes() == b.G.tobytes()
+        assert a.u.tobytes() == b.u.tobytes() and a.v.tobytes() == b.v.tobytes()
 
     def test_converged_rows_respect_deadline(self):
         spec = tiny_spec(trials=2, solvers=("ccmo", "none"), grid=(8, 16))

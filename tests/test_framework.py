@@ -263,7 +263,7 @@ class TestGolden:
         (2, "none", [3.0162633276329626e-06, 0.00011563618412500794], 2),
         (2, "fixed-random", [3.0097960584343948e-06, 4.036432486556494e-05], 2),
         (2, "ccmo", [3.000844273154635e-06, 5.647228206427589e-06], 7),
-        (2, "admm", [3.000869710590261e-06, 5.647232734209323e-06], 15),
+        (2, "admm", [3.000869710572851e-06, 5.647232734205459e-06], 15),
     ])
     def test_solve(self, K, solver, p, outer):
         cfg = small_cfg(K=K, rho_b=1.0)

@@ -14,7 +14,7 @@ from irsuplink import (
     sinr,
     watts_to_dbm,
 )
-from conftest import crandn, random_channel_set, single_user_oracle
+from conftest import crandn, dense_G, random_channel_set, single_user_oracle
 
 
 class TestProtectionRatios:
@@ -76,17 +76,18 @@ class TestEffectiveChannel:
         theta = np.exp(1j * rng.uniform(0, 2 * np.pi, 5))
         h = effective_channel(ch, theta)
         for k in range(2):
-            explicit = ch.h_direct[k] + ch.G @ np.diag(theta) @ ch.h_irs[k]
+            explicit = ch.h_direct[k] + dense_G(ch) @ np.diag(theta) @ ch.h_irs[k]
             np.testing.assert_allclose(h[k], explicit, atol=1e-12 * np.linalg.norm(explicit))
 
     def test_matches_bruteforce_loop(self, rng):
         ch = random_channel_set(rng, K=3, M=4, N=8)
         theta = np.exp(1j * rng.uniform(0, 2 * np.pi, 8))
         h = effective_channel(ch, theta)
+        G = dense_G(ch)
         for k in range(3):
             acc = ch.h_direct[k].copy()
             for n in range(8):
-                acc += ch.G[:, n] * theta[n] * ch.h_irs[k, n]
+                acc += G[:, n] * theta[n] * ch.h_irs[k, n]
             np.testing.assert_allclose(h[k], acc, atol=1e-12 * np.linalg.norm(acc))
 
     def test_linear_in_theta(self, rng):
