@@ -19,14 +19,12 @@ from .beamform_admm import FractionalObjective, run_admm
 from .beamform_ccmo import aligned_phases, assemble_quadratic, optimize_phases
 from .channel import ChannelSet, MultiAntennaChannels
 from .power_detect import (
-    DegenerateDetectorError,
     InfeasibleError,
-    build_interference,
     detectors,
     gram,
     mvdr_bank,
-    solve_power_fixed_point,
-    # never called here (solve_power_fixed_point is the gate); bench/test_bench.py reads it
+    power_step,
+    # never called here (the power step is the gate); bench/test_bench.py reads it
     spectral_radius,  # noqa: F401
 )
 from .system import (
@@ -81,20 +79,12 @@ class ConvergenceTrace:
 def _initial_theta_candidates(beamformer: str, n: int, rng: np.random.Generator):
     if beamformer == "fixed-random":
         return [np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n))]
+    if n == 0:  # without the IRS every candidate is the same empty vector
+        return [np.ones(0, dtype=complex)]
     cands = [np.ones(n, dtype=complex)]
     for _ in range(3):
         cands.append(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n)))
     return cands
-
-
-def _powers(Ttilde, C, A, noise, X=None):
-    """Powers of the detectors C facing cross-Gram X (default A), or None
-    if infeasible or a detector is degenerate."""
-    try:
-        im = build_interference(Ttilde, C, A, noise, X)
-        return solve_power_fixed_point(im.Q, im.tau).p
-    except (DegenerateDetectorError, InfeasibleError):
-        return None
 
 
 def solve(cfg: SystemConfig, channels: ChannelSet, profile: LatencyProfile,
@@ -116,16 +106,14 @@ def solve(cfg: SystemConfig, channels: ChannelSet, profile: LatencyProfile,
     ch = channels.without_irs() if fw.beamformer == "none" else channels
     n = ch.num_irs_elements
 
-    # the first candidate whose matched-filter power solve passes its
-    # spectral-radius gate; those powers start the loop
+    # the first candidate whose matched-filter (MVDR at zero power) power
+    # solve passes its gate; those powers start the loop. A zero channel
+    # leaves a zero, degenerate detector.
     theta = None
     for cand in _initial_theta_candidates(fw.beamformer, n, rng):
         h_eff = effective_channel(ch, cand)
         A = gram(h_eff)
-        # f_k = h_k / ||h_k||^2; a zero channel leaves a zero, degenerate detector
-        C = [[1.0 / a[i].real if j == i and a[i].real else 0.0 for j in range(len(A))]
-             for i, a in enumerate(A)]
-        p = _powers(Ttilde, C, A, noise)
+        p = power_step(Ttilde, mvdr_bank([0.0] * len(A), A, noise), A, noise)
         if p is not None:
             theta = cand
             break
@@ -144,14 +132,14 @@ def solve(cfg: SystemConfig, channels: ChannelSet, profile: LatencyProfile,
             cand = _beamformer_candidate(fw, coeffs, p, Ttilde, noise, theta,
                                          first_beam_call, rng)
             first_beam_call = False
-        p = _powers(Ttilde, C, A, noise)
+        p = power_step(Ttilde, C, A, noise)
         if p is None:
             raise InfeasibleError("current iterate became infeasible")
         if optimize:
             # the candidate's channels face the detectors F = C h_eff held
             # fixed in M-space, through the cross-Gram h_cand^* h_eff^T
             h_cand = effective_channel(ch, cand)
-            trial = _powers(Ttilde, C, A, noise, gram(h_cand, h_eff))
+            trial = power_step(Ttilde, C, A, noise, gram(h_cand, h_eff))
             base_sum = sum(p.tolist())
             if trial is not None and sum(trial.tolist()) <= base_sum:
                 theta, h_eff, A, p = cand, h_cand, gram(h_cand), trial

@@ -8,7 +8,9 @@ feasible power vector is (I - Q)^{-1} tau. Detector banks are carried as
 K x K coefficient rows C (F = C H), and every step reads the channels
 only through their K x K Gram matrix A = H^* H^T: O(K^2 M) once per phase
 vector, then O(K^3) on Python scalars per detector or power step. F is
-built only where it is read. No M x M matrix and no eigen-decomposition.
+built only where it is read. No M x M matrix and no eigen-decomposition:
+one elimination without pivoting solves both the power system and the
+MVDR bank, and its positive-pivot test is the exact feasibility gate.
 """
 
 from __future__ import annotations
@@ -21,13 +23,13 @@ import numpy as np
 __all__ = [
     "InfeasibleError",
     "DegenerateDetectorError",
-    "InterferenceMatrix",
     "PowerSolveReport",
     "gram",
     "detectors",
     "build_interference",
     "spectral_radius",
     "solve_power_fixed_point",
+    "power_step",
     "mvdr_bank",
 ]
 
@@ -38,14 +40,6 @@ class InfeasibleError(Exception):
 
 class DegenerateDetectorError(ValueError):
     """A detector has zero projection onto its own user's channel."""
-
-
-@dataclass(frozen=True)
-class InterferenceMatrix:
-    """Normalized cross gains Q (zero diagonal) and noise loads tau, as lists."""
-
-    Q: list
-    tau: list
 
 
 @dataclass(frozen=True)
@@ -68,8 +62,9 @@ def detectors(C, H: np.ndarray) -> np.ndarray:
     return F / (H.conj() * F).sum(axis=1)[:, None]
 
 
-def build_interference(Ttilde, C, A, noise_power: float, X=None) -> InterferenceMatrix:
-    """Assemble (Q, tau) for the detectors F = C H from the Gram matrix A of H.
+def build_interference(Ttilde, C, A, noise_power: float, X=None) -> tuple[list, list]:
+    """Normalized cross gains Q (zero diagonal) and noise loads tau, as lists,
+    for the detectors F = C H from the Gram matrix A of H.
 
     The gains are h_j^H f_i = sum_l C[i][l] A[j][l]. Detectors facing other
     channels H' (a phase candidate, F held fixed in M-space) take them from
@@ -85,13 +80,36 @@ def build_interference(Ttilde, C, A, noise_power: float, X=None) -> Interference
         Q.append([0.0 if j == i else Ttilde[i] * abs(z) ** 2 / own for j, z in enumerate(faced)])
         f_norm_sq = sum([x * z.conjugate() for x, z in zip(c, seen)]).real  # f_i^H f_i
         tau.append(noise_power * Ttilde[i] * f_norm_sq / own)
-    return InterferenceMatrix(Q=Q, tau=tau)
+    return Q, tau
 
 
 def spectral_radius(Q) -> float:
     """Exact dominant eigenvalue magnitude of the K x K coupling matrix: the
     reference for the power solve's pivot gate in tests, not on the solve path."""
     return float(np.max(np.abs(np.linalg.eigvals(Q))))
+
+
+def _eliminate(rows) -> list:
+    """Gauss-Jordan without pivoting on the K augmented rows [S | B], in
+    place; returns the rows of S^{-1} B.
+
+    Both callers' S have positive leading principal minors exactly when
+    their problem is well posed, so every pivot (a ratio of two such
+    minors) must have a positive real part: InfeasibleError at the first
+    that does not.
+    """
+    k = len(rows)
+    for i, pivot_row in enumerate(rows):
+        pivot = pivot_row[i]
+        if not pivot.real > 0.0:
+            raise InfeasibleError(f"pivot {i} is {pivot:.6g}, not positive "
+                                  "(for I - Q: spectral radius >= 1)")
+        pivot_row[:] = [x / pivot for x in pivot_row]
+        for r, row in enumerate(rows):
+            if r != i:
+                ratio = row[i]
+                row[:] = [x - ratio * y for x, y in zip(row, pivot_row)]
+    return [row[k:] for row in rows]
 
 
 def solve_power_fixed_point(Q, tau) -> PowerSolveReport:
@@ -104,24 +122,19 @@ def solve_power_fixed_point(Q, tau) -> PowerSolveReport:
     therefore the exact gate: it raises InfeasibleError at the first pivot
     that is not positive.
     """
-    a = [[-q for q in row] for row in Q]  # rows of I - Q once the diagonal gets +1
-    b = list(tau)
-    k = len(b)
-    for i in range(k):
-        a[i][i] += 1.0
-    for i in range(k):
-        pivot = a[i][i]
-        if not pivot > 0.0:
-            raise InfeasibleError(f"pivot {i} of I - Q is {pivot:.6g}: spectral radius >= 1")
-        for r in range(i + 1, k):
-            ratio = a[r][i] / pivot
-            for c in range(i + 1, k):
-                a[r][c] -= ratio * a[i][c]
-            b[r] -= ratio * b[i]
-    p = [0.0] * k
-    for i in reversed(range(k)):
-        p[i] = (b[i] - sum(a[i][c] * p[c] for c in range(i + 1, k))) / a[i][i]
-    return PowerSolveReport(p=np.array(p))
+    rows = [[-q for q in row] + [t] for row, t in zip(Q, tau)]  # [I - Q | tau] once
+    for i, row in enumerate(rows):  # the diagonal gets +1
+        row[i] += 1.0
+    return PowerSolveReport(p=np.array([x[0] for x in _eliminate(rows)]))
+
+
+def power_step(Ttilde, C, A, noise_power: float, X=None) -> np.ndarray | None:
+    """The exact powers of the detectors C facing cross-Gram X (default A),
+    or None if a detector is degenerate or the targets are infeasible."""
+    try:
+        return solve_power_fixed_point(*build_interference(Ttilde, C, A, noise_power, X)).p
+    except (DegenerateDetectorError, InfeasibleError):
+        return None
 
 
 def mvdr_bank(p, A, noise_power: float) -> list:
@@ -134,7 +147,8 @@ def mvdr_bank(p, A, noise_power: float) -> list:
     gives R^{-1} H^T = H^T S^{-1} with S = sigma^2 I + diag(p) A, so C = S^{-T},
     nonsingular also when A is (M < K). The leading minors of S,
     det(sigma^2 I + D A) = det(sigma^2 I + D^{1/2} A D^{1/2}) with D = diag(p),
-    are positive, so Gauss-Jordan needs no pivoting.
+    are positive for p >= 0. At p = 0 the rows are the matched filters
+    h_k / sigma^2, parallel to h_k / ||h_k||^2.
     """
     if noise_power <= 0:
         raise ValueError(f"noise power must be positive, got {noise_power}")
@@ -145,11 +159,4 @@ def mvdr_bank(p, A, noise_power: float) -> list:
     for i, row in enumerate(rows):
         row[i] += noise_power
         row[k + i] = 1.0
-    for i, pivot_row in enumerate(rows):
-        inv = 1.0 / pivot_row[i]
-        pivot_row[:] = [x * inv for x in pivot_row]
-        for r, row in enumerate(rows):
-            if r != i:
-                ratio = row[i]
-                row[:] = [x - ratio * y for x, y in zip(row, pivot_row)]
-    return [row[k:] for row in rows]
+    return _eliminate(rows)

@@ -116,8 +116,8 @@ def feasible_power_instance(rng, K=3, M=8, rho_target=0.85, noise=1.0):
     p_probe = rng.uniform(0.5, 2.0, K)
     C = mvdr_bank(p_probe, A, noise)
     Ttilde = rng.uniform(0.5, 1.5, K)
-    im = build_interference(Ttilde, C, A, noise)
-    rho = spectral_radius(im.Q)
+    Q, _ = build_interference(Ttilde, C, A, noise)
+    rho = spectral_radius(Q)
     if rho > 0:
         Ttilde = Ttilde * min(1.0, rho_target * rng.uniform(0.5, 1.0) / rho)
     return h_eff, C, Ttilde, noise

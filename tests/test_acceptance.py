@@ -58,9 +58,9 @@ def power_instances(count, seed=20240810):
 def test_criterion_01_fixed_point_matches_direct_solve():
     start = time.perf_counter()
     worst = 0.0
-    for h_eff, C, Tt, noise, im, _ in power_instances(100):
-        rep = solve_power_fixed_point(im.Q, im.tau)
-        direct = np.linalg.solve(np.eye(3) - im.Q, im.tau)
+    for h_eff, C, Tt, noise, (Q, tau), _ in power_instances(100):
+        rep = solve_power_fixed_point(Q, tau)
+        direct = np.linalg.solve(np.eye(3) - Q, tau)
         worst = max(worst, float(np.max(np.abs(rep.p - direct) / direct)))
     elapsed = time.perf_counter() - start
     ok = worst < 1e-10 and elapsed < 5.0
@@ -70,10 +70,10 @@ def test_criterion_01_fixed_point_matches_direct_solve():
 def test_criterion_02_fixed_point_unique_across_starts():
     rng = np.random.default_rng(7)
     worst = 0.0
-    for h_eff, C, Tt, noise, im, _ in power_instances(100, seed=20240811):
-        p_ref = solve_power_fixed_point(im.Q, im.tau).p
-        for p0 in (np.zeros(3), 10 * np.asarray(im.tau), rng.uniform(0, 3, 3)):
-            p = iterate_fixed_point(im.Q, im.tau, p0)
+    for h_eff, C, Tt, noise, (Q, tau), _ in power_instances(100, seed=20240811):
+        p_ref = solve_power_fixed_point(Q, tau).p
+        for p0 in (np.zeros(3), 10 * np.asarray(tau), rng.uniform(0, 3, 3)):
+            p = iterate_fixed_point(Q, tau, p0)
             worst = max(worst, float(np.max(np.abs(p - p_ref) / p_ref)))
     ok = worst < 1e-8
     report(2, ok, f"start-point independence, worst rel spread {worst:.2e}")
@@ -97,11 +97,11 @@ def test_criterion_03_constraints_tight_after_power_solve():
         h_eff = effective_channel(ch, theta)
         A = gram(h_eff)
         norms = np.sum(np.abs(h_eff) ** 2, axis=1)
-        im = build_interference(prof.Ttilde, np.diag(1.0 / norms), A, cfg.noise_power)
-        p = solve_power_fixed_point(im.Q, im.tau).p
+        Q, tau = build_interference(prof.Ttilde, np.diag(1.0 / norms), A, cfg.noise_power)
+        p = solve_power_fixed_point(Q, tau).p
         C = mvdr_bank(p, A, cfg.noise_power)
-        im = build_interference(prof.Ttilde, C, A, cfg.noise_power)
-        p = solve_power_fixed_point(im.Q, im.tau).p
+        Q, tau = build_interference(prof.Ttilde, C, A, cfg.noise_power)
+        p = solve_power_fixed_point(Q, tau).p
         st = SolverState(p=p, F=detectors(C, h_eff), theta=theta, h_eff=h_eff)
         for k in range(cfg.K):
             worst_sinr = max(worst_sinr,
@@ -119,8 +119,8 @@ def test_criterion_04_mvdr_distortionless_and_optimal():
         theta = np.ones(cfg.N, dtype=complex)
         h_eff = effective_channel(ch, theta)
         norms = np.sum(np.abs(h_eff) ** 2, axis=1)
-        im = build_interference(prof.Ttilde, np.diag(1.0 / norms), gram(h_eff), cfg.noise_power)
-        p = solve_power_fixed_point(im.Q, im.tau).p  # operating-point powers
+        Q, tau = build_interference(prof.Ttilde, np.diag(1.0 / norms), gram(h_eff), cfg.noise_power)
+        p = solve_power_fixed_point(Q, tau).p  # operating-point powers
         for k in range(cfg.K):
             f = mvdr_rows(p, h_eff, cfg.noise_power)[k]
             worst_unit = max(worst_unit, abs(np.vdot(f, h_eff[k]) - 1.0))

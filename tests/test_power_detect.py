@@ -11,6 +11,7 @@ from irsuplink import (
     solve_power_fixed_point,
     spectral_radius,
 )
+from irsuplink.power_detect import power_step
 from conftest import crandn, feasible_power_instance, iterate_fixed_point, mvdr_rows
 
 
@@ -19,16 +20,16 @@ class TestBuildInterference:
         h = crandn(rng, 1, 4)
         c = crandn(rng, 1, 1)
         f = c @ h
-        im = build_interference([0.3], c, gram(h), noise_power=2.0)
-        assert np.shape(im.Q) == (1, 1) and im.Q[0][0] == 0.0
+        Q, tau = build_interference([0.3], c, gram(h), noise_power=2.0)
+        assert np.shape(Q) == (1, 1) and Q[0][0] == 0.0
         own = abs(np.vdot(f[0], h[0])) ** 2
-        assert im.tau[0] == pytest.approx(2.0 * 0.3 * np.linalg.norm(f[0]) ** 2 / own)
+        assert tau[0] == pytest.approx(2.0 * 0.3 * np.linalg.norm(f[0]) ** 2 / own)
 
     def test_orthogonal_detectors_kill_coupling(self):
         h = np.eye(3, dtype=complex)
         C = np.eye(3, dtype=complex)  # F = C h = h
-        im = build_interference([0.5, 0.5, 0.5], C, gram(h), 1.0)
-        assert np.all(np.asarray(im.Q) == 0.0)
+        Q, _ = build_interference([0.5, 0.5, 0.5], C, gram(h), 1.0)
+        assert np.all(np.asarray(Q) == 0.0)
 
     def test_matches_scalar_loop(self, rng):
         K, M = 3, 5
@@ -37,13 +38,13 @@ class TestBuildInterference:
         F = C @ h
         Tt = rng.uniform(0.2, 1.0, K)
         noise = 0.7
-        im = build_interference(Tt, C, gram(h), noise)
+        Q, tau = build_interference(Tt, C, gram(h), noise)
         for i in range(K):
             own = abs(np.vdot(F[i], h[i])) ** 2
             for j in range(K):
                 expect = 0.0 if i == j else Tt[i] * abs(np.vdot(F[i], h[j])) ** 2 / own
-                assert im.Q[i][j] == pytest.approx(expect, rel=1e-12)
-            assert im.tau[i] == pytest.approx(
+                assert Q[i][j] == pytest.approx(expect, rel=1e-12)
+            assert tau[i] == pytest.approx(
                 noise * Tt[i] * np.linalg.norm(F[i]) ** 2 / own, rel=1e-12)
 
     def test_degenerate_detector_raises(self, rng):
@@ -75,8 +76,8 @@ class TestSpectralRadius:
 
     def test_below_one_after_mvdr(self, rng):
         h_eff, C, Tt, noise = feasible_power_instance(rng)
-        im = build_interference(Tt, C, gram(h_eff), noise)
-        assert spectral_radius(im.Q) < 1.0
+        Q, _ = build_interference(Tt, C, gram(h_eff), noise)
+        assert spectral_radius(Q) < 1.0
 
 
 class TestFixedPoint:
@@ -95,15 +96,14 @@ class TestFixedPoint:
     def test_matches_direct_linear_solve(self, rng):
         for _ in range(25):
             h_eff, C, Tt, noise = feasible_power_instance(rng)
-            im = build_interference(Tt, C, gram(h_eff), noise)
-            rep = solve_power_fixed_point(im.Q, im.tau)
-            direct = np.linalg.solve(np.eye(len(im.tau)) - im.Q, im.tau)
+            Q, tau = build_interference(Tt, C, gram(h_eff), noise)
+            rep = solve_power_fixed_point(Q, tau)
+            direct = np.linalg.solve(np.eye(len(tau)) - Q, tau)
             np.testing.assert_allclose(rep.p, direct, rtol=1e-10)
 
     def test_start_point_does_not_matter(self, rng):
         h_eff, C, Tt, noise = feasible_power_instance(rng)
-        im = build_interference(Tt, C, gram(h_eff), noise)
-        Q, tau = np.asarray(im.Q), np.asarray(im.tau)
+        Q, tau = map(np.asarray, build_interference(Tt, C, gram(h_eff), noise))
         p_ref = solve_power_fixed_point(Q, tau).p
         for p0 in (np.zeros_like(tau), 10 * tau, rng.uniform(0, 5, tau.size)):
             p = iterate_fixed_point(Q, tau, p0)
@@ -146,8 +146,7 @@ class TestFixedPoint:
 
     def test_monotone_from_zero(self, rng):
         h_eff, C, Tt, noise = feasible_power_instance(rng)
-        im = build_interference(Tt, C, gram(h_eff), noise)
-        Q, tau = np.asarray(im.Q), np.asarray(im.tau)
+        Q, tau = map(np.asarray, build_interference(Tt, C, gram(h_eff), noise))
         # the update map preserves componentwise ordering from p = 0
         p = np.zeros_like(tau)
         for _ in range(200):
@@ -231,9 +230,39 @@ class TestMvdr:
             for k in range(2):
                 assert abs(np.vdot(F[k], h[k]) - 1.0) <= 1e-12
 
+    @pytest.mark.parametrize("K", [1, 2, 3])
+    def test_zero_power_bank_is_the_matched_filter(self, rng, K):
+        h = crandn(rng, K, 6)
+        F = detectors(mvdr_bank([0.0] * K, gram(h), 0.37), h)
+        expect = h / np.sum(np.abs(h) ** 2, axis=1)[:, None]
+        np.testing.assert_allclose(F, expect, rtol=1e-12)
+
     def test_requires_positive_noise(self, rng):
         with pytest.raises(ValueError):
             mvdr_bank(np.ones(1), gram(crandn(rng, 1, 3)), 0.0)
+
+
+class TestPowerStep:
+    def test_exact_solve_when_feasible(self, rng):
+        h_eff, C, Tt, noise = feasible_power_instance(rng)
+        A = gram(h_eff)
+        expect = solve_power_fixed_point(*build_interference(Tt, C, A, noise)).p
+        np.testing.assert_array_equal(power_step(Tt, C, A, noise), expect)
+
+    def test_infeasible_targets_give_none(self, rng):
+        h_eff, C, Tt, noise = feasible_power_instance(rng)
+        assert power_step(1e6 * Tt, C, gram(h_eff), noise) is None
+
+    @pytest.mark.parametrize("K", [1, 2])
+    def test_zero_channel_gives_none(self, rng, K):
+        # the matched filter of a zero channel is zero: a degenerate detector
+        h = crandn(rng, K, 4)
+        h[-1] = 0.0
+        A = gram(h)
+        C = mvdr_bank([0.0] * K, A, 0.5)
+        with pytest.raises(DegenerateDetectorError):
+            build_interference([0.5] * K, C, A, 0.5)
+        assert power_step([0.5] * K, C, A, 0.5) is None
 
 
 class TestJointUpdates:
@@ -243,8 +272,7 @@ class TestJointUpdates:
 
         for _ in range(20):
             h_eff, C, Tt, noise = feasible_power_instance(rng)
-            im = build_interference(Tt, C, gram(h_eff), noise)
-            p = solve_power_fixed_point(im.Q, im.tau).p
+            p = solve_power_fixed_point(*build_interference(Tt, C, gram(h_eff), noise)).p
             st = SolverState(p=p, F=detectors(C, h_eff), theta=np.zeros(0, complex), h_eff=h_eff)
             for k in range(len(p)):
                 assert sinr(st, noise, k) == pytest.approx(Tt[k], rel=1e-8)
@@ -253,9 +281,7 @@ class TestJointUpdates:
         for _ in range(20):
             h_eff, C, Tt, noise = feasible_power_instance(rng)
             A = gram(h_eff)
-            im = build_interference(Tt, C, A, noise)
-            p_before = solve_power_fixed_point(im.Q, im.tau).p
+            p_before = solve_power_fixed_point(*build_interference(Tt, C, A, noise)).p
             C2 = mvdr_bank(p_before, A, noise)
-            im2 = build_interference(Tt, C2, A, noise)
-            p_after = solve_power_fixed_point(im2.Q, im2.tau).p
+            p_after = solve_power_fixed_point(*build_interference(Tt, C2, A, noise)).p
             assert p_after.sum() <= p_before.sum() * (1 + 1e-10)
