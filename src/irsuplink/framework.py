@@ -88,9 +88,12 @@ def _initial_theta_candidates(beamformer: str, n: int, rng: np.random.Generator)
 
 
 def solve(cfg: SystemConfig, channels: ChannelSet, profile: LatencyProfile,
-          fw: FrameworkConfig | None = None, rng: np.random.Generator | None = None):
+          fw: FrameworkConfig | None = None, rng: np.random.Generator | None = None,
+          theta0: np.ndarray | None = None):
     """Minimize the total uplink power subject to per-user deadlines.
 
+    The phase candidates that may start the loop are theta0 if given, else
+    the solver's own initial candidates (which draw from rng).
     Returns (SolverState, ConvergenceTrace). Raises InfeasibleError when no
     initial phase candidate passes the spectral-radius gate, or when the
     power step fails it (or meets a degenerate detector) after a detector
@@ -109,8 +112,9 @@ def solve(cfg: SystemConfig, channels: ChannelSet, profile: LatencyProfile,
     # the first candidate whose matched-filter (MVDR at zero power) power
     # solve passes its gate; those powers start the loop. A zero channel
     # leaves a zero, degenerate detector.
+    cands = [theta0] if theta0 is not None else _initial_theta_candidates(fw.beamformer, n, rng)
     theta = None
-    for cand in _initial_theta_candidates(fw.beamformer, n, rng):
+    for cand in cands:
         h_eff = effective_channel(ch, cand)
         A = gram(h_eff)
         p = power_step(Ttilde, mvdr_bank([0.0] * len(A), A, noise), A, noise)
@@ -194,6 +198,8 @@ def solve_multi_antenna(cfg: SystemConfig, mu_channels: MultiAntennaChannels,
         return qbar, state, trace
 
     noise = cfg.noise_power
+    # fixed-random judges every transmit round under the phases it drew first
+    theta0 = state.theta if fw.beamformer == "fixed-random" else None
     for _ in range(TX_MAX_ROUNDS):
         theta = state.theta
         # theta is empty when solved without the IRS
@@ -205,7 +211,7 @@ def solve_multi_antenna(cfg: SystemConfig, mu_channels: MultiAntennaChannels,
                          for k in range(k_users)])
         cand /= np.linalg.norm(cand, axis=1, keepdims=True)
         try:
-            state_c, trace_c = solve(cfg, mu_channels.reduce(cand), profile, fw, rng)
+            state_c, trace_c = solve(cfg, mu_channels.reduce(cand), profile, fw, rng, theta0)
         except InfeasibleError:
             break
         cand_sum = sum(state_c.p.tolist())

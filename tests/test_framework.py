@@ -328,7 +328,6 @@ class TestMultiAntenna:
         for k in range(2):
             assert np.linalg.norm(qbar[k]) == pytest.approx(1.0, abs=1e-12)
 
-    @pytest.mark.xfail(strict=True, reason="fixed-random draws new phases in every solve call")
     def test_fixed_random_holds_phases_across_rounds(self, monkeypatch):
         # a transmit-beamformer candidate should be judged under the phases it
         # was computed for; this draw runs at least one transmit round
