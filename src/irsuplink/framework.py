@@ -79,12 +79,10 @@ class ConvergenceTrace:
 def _initial_theta_candidates(beamformer: str, n: int, rng: np.random.Generator):
     if beamformer == "fixed-random":
         return [np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n))]
-    if n == 0:  # without the IRS every candidate is the same empty vector
-        return [np.ones(0, dtype=complex)]
-    cands = [np.ones(n, dtype=complex)]
-    for _ in range(3):
-        cands.append(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n)))
-    return cands
+    # without the IRS (n = 0) a random candidate would repeat the empty ones
+    draws = 3 if n else 0
+    return [np.ones(n, dtype=complex)] + [np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n))
+                                          for _ in range(draws)]
 
 
 def solve(cfg: SystemConfig, channels: ChannelSet, profile: LatencyProfile,
@@ -92,12 +90,10 @@ def solve(cfg: SystemConfig, channels: ChannelSet, profile: LatencyProfile,
           theta0: np.ndarray | None = None):
     """Minimize the total uplink power subject to per-user deadlines.
 
-    The phase candidates that may start the loop are theta0 if given, else
-    the solver's own initial candidates (which draw from rng).
     Returns (SolverState, ConvergenceTrace). Raises InfeasibleError when no
-    initial phase candidate passes the spectral-radius gate, or when the
-    power step fails it (or meets a degenerate detector) after a detector
-    update. The loop stops the first time the total power changes by at most
+    initial phase candidate (theta0 if given, else the solver's own, drawn
+    from rng) passes the gate, or when the power step fails it (or meets a
+    degenerate detector) after a detector update. The loop stops the first time the total power changes by at most
     OUTER_TOL relative between two AO iterations. It carries the Gram matrix
     A of h_eff and the detectors' coefficient rows C (F = C h_eff).
     """

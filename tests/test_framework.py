@@ -198,6 +198,19 @@ class TestGramLoop:
         assert counts["channel"] > 0
         assert counts["gram"] == counts["channel"]
 
+    def test_no_irs_tries_its_one_candidate_once(self, monkeypatch):
+        # without the IRS every phase candidate is the same empty vector, so an
+        # infeasible start is decided by one gate
+        cfg = small_cfg(K=2, rho_b=0.5)
+        ch, _ = draw(cfg, 3)
+        prof = LatencyProfile.from_data(np.full(2, cfg.W * cfg.T * np.log(1e6)), cfg.W, cfg.T)
+        counts = {"channel": 0}
+        monkeypatch.setattr(framework, "effective_channel",
+                            counting(counts, "channel", framework.effective_channel))
+        with pytest.raises(InfeasibleError):
+            solve(cfg, ch, prof, FrameworkConfig(beamformer="none"))
+        assert counts["channel"] == 1
+
     @pytest.mark.parametrize("solver", ["ccmo", "admm"])
     def test_candidate_faces_the_current_detectors(self, monkeypatch, solver):
         # a phase candidate is judged with the detectors F of the current
