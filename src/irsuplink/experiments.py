@@ -89,6 +89,8 @@ class ExperimentSpec:
             problems.append("grid is empty")
         if self.trials < 1:
             problems.append(f"trials must be >= 1, got {self.trials}")
+        if self.seed < 0:
+            problems.append(f"seed must be >= 0, got {self.seed}")
         if len(self.solvers) == 0:
             problems.append("no solvers selected")
         for s in self.solvers:

@@ -1,12 +1,12 @@
-"""Alternating optimization over powers, detectors and IRS phases.
+"""Alternating optimization over powers, detectors, IRS phases and transmit beamformers.
 
-One loop optimizes the three blocks in turn until the total power settles:
-each iteration runs the MVDR detectors, a passive-beamforming candidate
-(for ccmo and admm), and one exact power solve shared by every solver.
-Every phase (and transmit-beamformer) candidate is acceptance-gated: it is
-kept only if the re-solved total power does not increase and the
-spectral-radius condition still holds, which makes the recorded total
-power nonincreasing across iterations by construction.
+One loop optimizes the blocks in turn until the total power settles: each
+iteration runs the MVDR detectors, a passive-beamforming candidate (for
+ccmo and admm), one exact power solve shared by every solver and, for
+multi-antenna users, a transmit-beamformer candidate. Every candidate is
+acceptance-gated: it is kept only if the re-solved total power does not
+increase and the spectral-radius condition still holds, which makes the
+recorded total power nonincreasing across iterations by construction.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ __all__ = [
 BEAMFORMERS = ("ccmo", "admm", "none", "fixed-random")
 
 OUTER_TOL = 1e-6  # relative change of the total power that ends the loop
-INNER_TOL = 1e-5  # relative power gain below which a phase update is negligible
+INNER_TOL = 1e-5  # relative power gain below which a phase or transmit update is negligible
 MAX_OUTER = 5000  # cap on AO iterations
 RESTARTS = 3  # random CCMO starts on the first phase update
 CCMO_MAX_ITER = 2000
@@ -53,8 +53,6 @@ CCMO_TOL = 1e-8
 ADMM_MAX_OUTER = 6
 ADMM_MAX_INNER = 60
 ADMM_TOL_CONSENSUS = 1e-3
-TX_MAX_ROUNDS = 6  # transmit-beamformer rounds of solve_multi_antenna
-TX_TOL = 1e-4  # relative power gain below which those rounds stop
 
 
 @dataclass(frozen=True)
@@ -86,16 +84,22 @@ def _initial_theta_candidates(beamformer: str, n: int, rng: np.random.Generator)
 
 
 def solve(cfg: SystemConfig, channels: ChannelSet, profile: LatencyProfile,
-          fw: FrameworkConfig | None = None, rng: np.random.Generator | None = None,
-          theta0: np.ndarray | None = None):
+          fw: FrameworkConfig | None = None, rng: np.random.Generator | None = None):
     """Minimize the total uplink power subject to per-user deadlines.
 
     Returns (SolverState, ConvergenceTrace). Raises InfeasibleError when no
-    initial phase candidate (theta0 if given, else the solver's own, drawn
-    from rng) passes the gate, or when the power step fails it (or meets a
-    degenerate detector) after a detector update. The loop stops the first time the total power changes by at most
-    OUTER_TOL relative between two AO iterations. It carries the Gram matrix
-    A of h_eff and the detectors' coefficient rows C (F = C h_eff).
+    initial phase candidate (drawn from rng) passes the gate, or when the
+    power step fails it (or meets a degenerate detector) after a detector
+    update. The loop stops the first time the total power changes by at
+    most OUTER_TOL relative between two AO iterations.
+    """
+    return _solve(cfg, channels, profile, fw, rng)[1:]
+
+
+def _solve(cfg, channels, profile, fw, rng, mu=None, qbar=None):
+    """The AO loop of solve and, on channels = mu reduced through qbar, of
+    solve_multi_antenna; returns (qbar, SolverState, ConvergenceTrace). It
+    carries the Gram matrix A of h_eff and the detectors' rows C (F = C basis).
     """
     fw = fw or FrameworkConfig()
     if rng is None:
@@ -108,45 +112,48 @@ def solve(cfg: SystemConfig, channels: ChannelSet, profile: LatencyProfile,
     # the first candidate whose matched-filter (MVDR at zero power) power
     # solve passes its gate; those powers start the loop. A zero channel
     # leaves a zero, degenerate detector.
-    cands = [theta0] if theta0 is not None else _initial_theta_candidates(fw.beamformer, n, rng)
-    theta = None
-    for cand in cands:
-        h_eff = effective_channel(ch, cand)
+    for theta in _initial_theta_candidates(fw.beamformer, n, rng):
+        h_eff = effective_channel(ch, theta)
         A = gram(h_eff)
         p = power_step(Ttilde, mvdr_bank([0.0] * len(A), A, noise), A, noise)
         if p is not None:
-            theta = cand
             break
-    if theta is None:
+    else:
         raise InfeasibleError("no initial phase candidate passes the spectral-radius gate")
 
     trace = ConvergenceTrace()
-    first_beam_call = True
-    beam_stale = 0  # consecutive negligible theta updates; 2 freezes the beamformer
+    # negligible theta / qbar updates in a row: 2 freeze a block; one that cannot run starts at 2
+    beam_stale = 0 if fw.beamformer in ("ccmo", "admm") and n > 0 else 2
+    tx_stale = 0 if mu is not None and mu.num_user_antennas > 1 else 2
     for t in range(1, MAX_OUTER + 1):
         # p is the exact solve at the current (C, theta)
         C, basis = mvdr_bank(p, A, noise), h_eff
-        optimize = fw.beamformer in ("ccmo", "admm") and n > 0 and beam_stale < 2
-        if optimize:
+        if beam_stale < 2:
             coeffs = effective_coeffs(ch, detectors(C, h_eff))
-            cand = _beamformer_candidate(fw, coeffs, p, Ttilde, noise, theta,
-                                         first_beam_call, rng)
-            first_beam_call = False
+            # a phase block that runs at all runs first at t = 1
+            cand = _beamformer_candidate(fw, coeffs, p, Ttilde, noise, theta, t == 1, rng)
         p = power_step(Ttilde, C, A, noise)
         if p is None:
             raise InfeasibleError("current iterate became infeasible")
-        if optimize:
+        if beam_stale < 2:
             # the candidate's channels face the detectors F = C h_eff held
             # fixed in M-space, through the cross-Gram h_cand^* h_eff^T
             h_cand = effective_channel(ch, cand)
             trial = power_step(Ttilde, C, A, noise, gram(h_cand, h_eff))
-            base_sum = sum(p.tolist())
-            if trial is not None and sum(trial.tolist()) <= base_sum:
+            accept, beam_stale = _gate(trial, p, beam_stale)
+            if accept:
                 theta, h_eff, A, p = cand, h_cand, gram(h_cand), trial
-                gain = base_sum - sum(p.tolist())
-                beam_stale = beam_stale + 1 if gain <= INNER_TOL * base_sum else 0
-            else:
-                beam_stale += 1
+        if tx_stale < 2:
+            # the candidate's channels get their own MVDR bank at the current powers
+            q_cand, ch_cand = _transmit_candidate(mu, theta, detectors(C, basis), p, noise)
+            h_cand = effective_channel(ch_cand, theta)
+            A_cand = gram(h_cand)
+            C_cand = mvdr_bank(p, A_cand, noise)
+            trial = power_step(Ttilde, C_cand, A_cand, noise)
+            accept, tx_stale = _gate(trial, p, tx_stale)
+            if accept:
+                qbar, ch, h_eff, A, p = q_cand, ch_cand, h_cand, A_cand, trial
+                C, basis = C_cand, h_cand
         s = sum(p.tolist())
         trace.sum_power.append(s)
         trace.outer_iterations = t
@@ -156,7 +163,16 @@ def solve(cfg: SystemConfig, channels: ChannelSet, profile: LatencyProfile,
             trace.converged = True
             break
         prev_sum = s
-    return SolverState(p=p, F=detectors(C, basis), theta=theta, h_eff=h_eff), trace
+    return qbar, SolverState(p=p, F=detectors(C, basis), theta=theta, h_eff=h_eff), trace
+
+
+def _gate(trial, p, stale):
+    """(accept, stale): accept the powers trial if they exist and their total is at most
+    p's; a rejection or a gain of at most INNER_TOL relative is one more stale update."""
+    base = sum(p.tolist())
+    if trial is None or sum(trial.tolist()) > base:
+        return False, stale + 1
+    return True, stale + 1 if base - sum(trial.tolist()) <= INNER_TOL * base else 0
 
 
 def _beamformer_candidate(fw, coeffs, p, Ttilde, noise, theta, first_call, rng):
@@ -174,48 +190,28 @@ def _beamformer_candidate(fw, coeffs, p, Ttilde, noise, theta, first_call, rng):
 def solve_multi_antenna(cfg: SystemConfig, mu_channels: MultiAntennaChannels,
                         profile: LatencyProfile, fw: FrameworkConfig | None = None,
                         rng: np.random.Generator | None = None):
-    """Multi-antenna users: alternate the single-antenna machinery on the
-    reduced channels H q_bar with gated transmit-beamformer updates.
+    """Multi-antenna users: the single-antenna AO loop on the reduced
+    channels H q_bar, with the transmit beamformers q_bar as one more
+    gated block.
 
-    Returns (q_bar (K, N_u), SolverState, ConvergenceTrace). At N_u = 1 the
-    transmit beamformers are fixed to 1 and the result is exactly the
-    single-antenna solve on the column channels.
+    Returns (q_bar (K, N_u), SolverState, ConvergenceTrace). The beamformers
+    start at the first antenna; at N_u = 1 the block never runs and the
+    result is exactly the single-antenna solve on the column channels.
     """
-    fw = fw or FrameworkConfig()
-    if rng is None:
-        rng = np.random.default_rng(0)
-    k_users = mu_channels.H_direct.shape[0]
-    n_u = mu_channels.num_user_antennas
-    qbar = np.zeros((k_users, n_u), dtype=complex)
+    qbar = np.zeros_like(mu_channels.H_direct[:, 0])  # (K, N_u)
     qbar[:, 0] = 1.0
-    state, trace = solve(cfg, mu_channels.reduce(qbar), profile, fw, rng)
-    best_sum = sum(state.p.tolist())
-    if n_u == 1:
-        return qbar, state, trace
+    return _solve(cfg, mu_channels.reduce(qbar), profile, fw, rng, mu_channels, qbar)
 
-    noise = cfg.noise_power
-    # fixed-random judges every transmit round under the phases it drew first
-    theta0 = state.theta if fw.beamformer == "fixed-random" else None
-    for _ in range(TX_MAX_ROUNDS):
-        theta = state.theta
-        # theta is empty when solved without the IRS
-        H_eff = mu_channels.effective_channels(theta) if theta.size else mu_channels.H_direct
-        # w[k, j] = (H_eff,k)^H f_j: user k's channel seen by detector j
-        w = np.einsum("kmu,jm->kju", H_eff.conj(), state.F)
-        # row k of the bank over w[k] is parallel to R_k^{-1} w[k, k] (Sherman-Morrison)
-        cand = np.array([detectors(mvdr_bank(state.p, gram(w[k]), noise), w[k])[k]
-                         for k in range(k_users)])
-        cand /= np.linalg.norm(cand, axis=1, keepdims=True)
-        try:
-            state_c, trace_c = solve(cfg, mu_channels.reduce(cand), profile, fw, rng, theta0)
-        except InfeasibleError:
-            break
-        cand_sum = sum(state_c.p.tolist())
-        if cand_sum <= best_sum:
-            improved = best_sum - cand_sum > TX_TOL * best_sum
-            qbar, state, trace, best_sum = cand, state_c, trace_c, cand_sum
-            if not improved:
-                break
-        else:
-            break
-    return qbar, state, trace
+
+def _transmit_candidate(mu, theta, F, p, noise):
+    """Unit transmit beamformers q at the detectors F and powers p, and mu reduced through them.
+
+    q_k is parallel to R_k^{-1} w[k, k], where w[k, j] = (H_eff,k)^H f_j is
+    user k's channel seen by detector j: row k of the MVDR bank over w[k]
+    (Sherman-Morrison). theta is empty when solved without the IRS.
+    """
+    H_eff = mu.effective_channels(theta) if theta.size else mu.H_direct
+    w = np.einsum("kmu,jm->kju", H_eff.conj(), F)
+    q = np.array([detectors(mvdr_bank(p, gram(w_k), noise), w_k)[k] for k, w_k in enumerate(w)])
+    q /= np.linalg.norm(q, axis=1, keepdims=True)
+    return q, mu.reduce(q) if theta.size else mu.reduce(q).without_irs()

@@ -241,28 +241,48 @@ def test_criterion_07_admm_grid_quality():
 
 
 def test_criterion_08_framework_monotone_total_power():
-    cfg = SystemConfig(M=8, N_az=4, N_el=4, K=2, rho_b=1.0,
-                       user_xy=((40.0, 40.0), (50.0, -20.0)))
-    done = 0
-    seed = 0
+    # two-user draws with single- and two-antenna users; a multi-antenna
+    # trace spans the transmit-beamformer updates as well
+    user_xy = ((40.0, 40.0), (50.0, -20.0))
+    cases = (
+        ("single", SystemConfig(M=8, N_az=4, N_el=4, K=2, rho_b=1.0, user_xy=user_xy),
+         ("ccmo", "admm")),
+        ("multi", SystemConfig(M=8, N_az=4, N_el=4, K=2, rho_b=1.0, N_u=2, user_xy=user_xy),
+         ("ccmo", "fixed-random")),
+    )
     ok = True
-    while done < 50 and seed < 120:
-        ch = sample_channel_set(cfg, np.random.default_rng([3, seed, 0]))
-        D = np.random.default_rng([3, seed, 1]).uniform(5000, 8000, 2)
-        prof = LatencyProfile.from_data(D, cfg.W, cfg.T)
-        seed += 1
-        try:
-            traces = [solve(cfg, ch, prof, FrameworkConfig(beamformer=b),
-                            np.random.default_rng(0))[1] for b in ("ccmo", "admm")]
-        except InfeasibleError:
-            continue
-        done += 1
-        for tr in traces:
-            sp = np.asarray(tr.sum_power)
-            if np.any(np.diff(sp) > 1e-9 * sp[:-1]):
-                ok = False
-    ok = ok and done == 50
-    report(8, ok, f"monotone total power on {done} blocked two-user instances")
+    done = {}
+    transmit_updates = 0
+    for kind, cfg, solvers in cases:
+        done[kind] = 0
+        seed = 0
+        while done[kind] < 50 and seed < 120:
+            rng_channel = np.random.default_rng([3, seed, 0])
+            D = np.random.default_rng([3, seed, 1]).uniform(5000, 8000, 2)
+            prof = LatencyProfile.from_data(D, cfg.W, cfg.T)
+            seed += 1
+            try:
+                if kind == "single":
+                    ch = sample_channel_set(cfg, rng_channel)
+                    traces = [solve(cfg, ch, prof, FrameworkConfig(beamformer=b),
+                                    np.random.default_rng(0))[1] for b in solvers]
+                else:
+                    mu = sample_multi_antenna_channels(cfg, rng_channel)
+                    results = [solve_multi_antenna(cfg, mu, prof, FrameworkConfig(beamformer=b),
+                                                   np.random.default_rng(0)) for b in solvers]
+                    traces = [tr for _, _, tr in results]
+                    transmit_updates += sum(bool(np.any(q[:, 1])) for q, _, _ in results)
+            except InfeasibleError:
+                continue
+            done[kind] += 1
+            for tr in traces:
+                sp = np.asarray(tr.sum_power)
+                if np.any(np.diff(sp) > 1e-9 * sp[:-1]):
+                    ok = False
+    ok = ok and done == {"single": 50, "multi": 50} and transmit_updates > 0
+    report(8, ok, f"monotone total power on {done['single']} single- and {done['multi']} "
+                  f"two-antenna blocked two-user instances ({transmit_updates} solves "
+                  f"accepted a transmit update)")
 
 
 OLOS_SWEEP_BASE = {"rho_b": 1.0}

@@ -280,6 +280,22 @@ class TestCli:
         assert "spec error" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["validate", "--spec", "{spec}"],
+        ["run", "--spec", "{spec}"],
+        ["run", "--preset", "quick", "--seed", "-1", "--out", "{out}"],
+    ], ids=["validate", "run-spec", "run-preset"])
+    def test_negative_seed_is_spec_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "x.csv"
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"name": "x", "sweep_variable": "N", "grid": [8],
+                                    "trials": 1, "seed": -3, "solvers": ["none"],
+                                    "output": str(out)}))
+        argv = [a.format(spec=spec, out=out) for a in argv]
+        assert cli_main(argv) == 1
+        assert "spec error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_preset_is_spec_error(self):
         assert cli_main(["run", "--preset", "does-not-exist"]) == 1
 
