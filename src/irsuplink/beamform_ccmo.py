@@ -31,6 +31,9 @@ __all__ = [
     "aligned_phases",
 ]
 
+MAX_ITER = 2000  # descent steps per run
+TOL = 1e-8  # relative objective change that ends a run
+
 
 class RetractionSingularityError(ArithmeticError):
     """A retraction hit a zero coordinate (theta_n + step_n = 0)."""
@@ -103,15 +106,15 @@ class CcmoResult:
     path: list | None = None
 
 
-def run_ccmo(form: QuadraticForm, theta0: np.ndarray, max_iter: int = 5000,
-             tol: float = 1e-8, record_path: bool = False) -> CcmoResult:
+def run_ccmo(form: QuadraticForm, theta0: np.ndarray, record_path: bool = False) -> CcmoResult:
     """Riemannian gradient descent from the constant step 1/max|eig(U)|,
     the exact bound from `largest_eigen_magnitude` (1 when U = 0).
 
-    tol is a relative threshold on the objective change. Steps that would
-    increase the objective (or hit a retraction singularity) are halved up
-    to 50 times; if no decrease is found the iterate is stationary and the
-    best point so far is returned. record_path keeps every iterate.
+    It takes at most MAX_ITER steps; TOL is a relative threshold on the
+    objective change. Steps that would increase the objective (or hit a
+    retraction singularity) are halved up to 50 times; if no decrease is
+    found the iterate is stationary and the best point so far is returned.
+    record_path keeps every iterate.
     """
     lam = largest_eigen_magnitude(form)
     zeta0 = 1.0 / lam if lam > 0.0 else 1.0
@@ -122,7 +125,7 @@ def run_ccmo(form: QuadraticForm, theta0: np.ndarray, max_iter: int = 5000,
     path = [theta.copy()] if record_path else None
     converged = False
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         grad = riemannian_gradient(theta, form)
         zeta = zeta0
         for _ in range(50):
@@ -138,7 +141,7 @@ def run_ccmo(form: QuadraticForm, theta0: np.ndarray, max_iter: int = 5000,
         else:  # no decrease along the gradient: stationary
             converged = True
             break
-        small = abs(f_new - f) <= tol * max(abs(f), abs(f_new), 1e-300)
+        small = abs(f_new - f) <= TOL * max(abs(f), abs(f_new), 1e-300)
         theta, f = cand, f_new
         trace.append(f)
         if record_path:
@@ -151,7 +154,7 @@ def run_ccmo(form: QuadraticForm, theta0: np.ndarray, max_iter: int = 5000,
 
 
 def optimize_phases(form: QuadraticForm, theta0: np.ndarray, restarts: int = 0,
-                    rng: np.random.Generator | None = None, **kwargs) -> CcmoResult:
+                    rng: np.random.Generator | None = None) -> CcmoResult:
     """run_ccmo from each start in theta0 ((N,) or (S, N), in order), then
     from `restarts` random starts; the best result wins, ties to the first."""
     starts = list(np.atleast_2d(theta0))
@@ -160,7 +163,7 @@ def optimize_phases(form: QuadraticForm, theta0: np.ndarray, restarts: int = 0,
             rng = np.random.default_rng(0)
         n = starts[0].size
         starts += [np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n)) for _ in range(restarts)]
-    return min((run_ccmo(form, start, **kwargs) for start in starts),
+    return min((run_ccmo(form, start) for start in starts),
                key=lambda r: r.descent_value)
 
 

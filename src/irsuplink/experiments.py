@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .channel import GainParams, sample_channel_set, sample_multi_antenna_channels
-from .framework import FrameworkConfig, solve, solve_multi_antenna
+from .framework import SOLVERS, FrameworkConfig, solve, solve_multi_antenna
 from .power_detect import InfeasibleError
 from .system import LatencyProfile, SystemConfig, latency, sinr, watts_to_dbm
 
@@ -35,7 +35,6 @@ __all__ = [
 ]
 
 SWEEP_VARIABLES = ("N", "d_x1", "D", "nu", "rho_b", "N_u", "T")
-SOLVERS = ("admm", "ccmo", "fixed-random", "none")
 _SOLVER_INDEX = {name: i for i, name in enumerate(SOLVERS)}
 
 METRICS = ("sum_power_dbm", "worst_latency_ms", "feasible", "iterations")
@@ -119,8 +118,8 @@ class ExperimentSpec:
                 name=d["name"],
                 sweep_variable=d["sweep_variable"],
                 grid=tuple(d["grid"]),
-                trials=int(d.get("trials", 50)),
-                seed=int(d.get("seed", 2024)),
+                trials=_integer(d.get("trials", 50), "trials"),
+                seed=_integer(d.get("seed", 2024), "seed"),
                 solvers=tuple(d.get("solvers", ("ccmo", "admm", "none", "fixed-random"))),
                 output=d.get("output"),
                 base=dict(d.get("base", {})),
@@ -163,6 +162,13 @@ class ExperimentTable:
     aggregates: tuple  # (sweep_value, solver, {metric: {stat: value}})
 
 
+def _integer(value, name: str) -> int:
+    """value as an int, or ValueError if it is not a whole number (1.5 is not truncated)."""
+    if not float(value).is_integer():
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
+
+
 def _factor_elements(n: int, n_az: int) -> tuple[int, int]:
     if n % n_az == 0:
         return n_az, n // n_az
@@ -174,7 +180,8 @@ def _build_config(base: dict, variable: str, value) -> tuple[SystemConfig, objec
     params = dict(BASE_DEFAULTS)
     params.update(base)
     if variable == "N":
-        params["N_az"], params["N_el"] = _factor_elements(int(value), int(params["N_az"]))
+        params["N_az"], params["N_el"] = _factor_elements(_integer(value, "N"),
+                                                          _integer(params["N_az"], "N_az"))
     elif variable == "d_x1":
         params["d_x1"] = float(value)
     elif variable == "D":
@@ -184,30 +191,26 @@ def _build_config(base: dict, variable: str, value) -> tuple[SystemConfig, objec
     elif variable == "rho_b":
         params["rho_b"] = float(value)
     elif variable == "N_u":
-        params["N_u"] = int(value)
+        params["N_u"] = value
     elif variable == "T":
         params["T_s"] = float(value)
 
-    users = ((params["d_x1"], params["d_y1"]), (params["d_x2"], -params["d_y2"]))
-    k = int(params["K"])
-    if k > 2:
-        raise SpecError(f"base geometry defines positions for up to 2 users, got K={k}")
+    users = ((float(params["d_x1"]), float(params["d_y1"])),
+             (float(params["d_x2"]), -float(params["d_y2"])))
+    counts = {key: _integer(params[key], key) for key in ("M", "N_az", "N_el", "K", "L", "N_u")}
+    if counts["K"] > 2:
+        raise SpecError(f"base geometry defines positions for up to 2 users, got K={counts['K']}")
     return SystemConfig(
-        M=int(params["M"]),
-        N_az=int(params["N_az"]),
-        N_el=int(params["N_el"]),
-        K=k,
+        **counts,
         W=float(params["W_hz"]),
         T=float(params["T_s"]),
         noise_power=10.0 ** ((params["noise_dbm"] - 30.0) / 10.0),
         gain=GainParams(rho_U=float(params["rho_U_dbi"]), rho_B=float(params["rho_B_dbi"]),
                         nu=float(params["nu_db"])),
-        L=int(params["L"]),
         rho_b=float(params["rho_b"]),
-        N_u=int(params["N_u"]),
-        ap_xy=tuple(params["ap_xy"]),
-        irs_xy=tuple(params["irs_xy"]),
-        user_xy=users[:k],
+        ap_xy=tuple(map(float, params["ap_xy"])),
+        irs_xy=tuple(map(float, params["irs_xy"])),
+        user_xy=users[:counts["K"]],
     ), _data_size_spec(params["D_nats"])
 
 
@@ -276,15 +279,9 @@ def _aggregate(rows) -> tuple:
         }
         for name in METRICS:
             vals = np.asarray(series[name], dtype=float)
-            if vals.size == 0:
-                metrics[name] = {s: math.nan for s in _STATS}
-            else:
-                metrics[name] = {
-                    "mean": float(np.mean(vals)),
-                    "std": float(np.std(vals)),
-                    "min": float(np.min(vals)),
-                    "max": float(np.max(vals)),
-                }
+            # each statistic is the numpy function of its name
+            metrics[name] = {s: float(getattr(np, s)(vals)) if vals.size else math.nan
+                             for s in _STATS}
         out.append((value, solver, metrics))
     return tuple(out)
 

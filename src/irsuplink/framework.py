@@ -3,10 +3,10 @@
 One loop optimizes the blocks in turn until the total power settles: each
 iteration runs the MVDR detectors, a passive-beamforming candidate (for
 ccmo and admm), one exact power solve shared by every solver and, for
-multi-antenna users, a transmit-beamformer candidate. Every candidate is
-acceptance-gated: it is kept only if the re-solved total power does not
-increase and the spectral-radius condition still holds, which makes the
-recorded total power nonincreasing across iterations by construction.
+multi-antenna users, a transmit-beamformer candidate. A candidate is judged
+as the start is, by its own MVDR bank and that bank's exact powers, and is
+kept only if those pass the positive-pivot test without raising the total
+power, which makes the recorded total power nonincreasing by construction.
 """
 
 from __future__ import annotations
@@ -42,14 +42,12 @@ __all__ = [
     "solve_multi_antenna",
 ]
 
-BEAMFORMERS = ("ccmo", "admm", "none", "fixed-random")
+SOLVERS = ("admm", "ccmo", "fixed-random", "none")  # experiments seeds rng streams by index
 
 OUTER_TOL = 1e-6  # relative change of the total power that ends the loop
 INNER_TOL = 1e-5  # relative power gain below which a phase or transmit update is negligible
 MAX_OUTER = 5000  # cap on AO iterations
 RESTARTS = 3  # random CCMO starts on the first phase update
-CCMO_MAX_ITER = 2000
-CCMO_TOL = 1e-8
 ADMM_MAX_OUTER = 6
 ADMM_MAX_INNER = 60
 ADMM_TOL_CONSENSUS = 1e-3
@@ -60,8 +58,8 @@ class FrameworkConfig:
     beamformer: str = "ccmo"
 
     def __post_init__(self):
-        if self.beamformer not in BEAMFORMERS:
-            raise ValueError(f"unknown beamformer {self.beamformer!r}, pick one of {BEAMFORMERS}")
+        if self.beamformer not in SOLVERS:
+            raise ValueError(f"unknown beamformer {self.beamformer!r}, pick one of {SOLVERS}")
 
 
 @dataclass
@@ -99,7 +97,7 @@ def solve(cfg: SystemConfig, channels: ChannelSet, profile: LatencyProfile,
 def _solve(cfg, channels, profile, fw, rng, mu=None, qbar=None):
     """The AO loop of solve and, on channels = mu reduced through qbar, of
     solve_multi_antenna; returns (qbar, SolverState, ConvergenceTrace). It
-    carries the Gram matrix A of h_eff and the detectors' rows C (F = C basis).
+    carries the Gram matrix A of h_eff and the detectors' rows C (F = C h_eff).
     """
     fw = fw or FrameworkConfig()
     if rng is None:
@@ -113,21 +111,19 @@ def _solve(cfg, channels, profile, fw, rng, mu=None, qbar=None):
     # solve passes its gate; those powers start the loop. A zero channel
     # leaves a zero, degenerate detector.
     for theta in _initial_theta_candidates(fw.beamformer, n, rng):
-        h_eff = effective_channel(ch, theta)
-        A = gram(h_eff)
-        p = power_step(Ttilde, mvdr_bank([0.0] * len(A), A, noise), A, noise)
+        h_eff, A, C, p = _evaluate(ch, theta, [0.0] * len(Ttilde), Ttilde, noise)
         if p is not None:
             break
     else:
-        raise InfeasibleError("no initial phase candidate passes the spectral-radius gate")
+        raise InfeasibleError("no initial phase candidate passes the positive-pivot gate")
 
     trace = ConvergenceTrace()
     # negligible theta / qbar updates in a row: 2 freeze a block; one that cannot run starts at 2
     beam_stale = 0 if fw.beamformer in ("ccmo", "admm") and n > 0 else 2
     tx_stale = 0 if mu is not None and mu.num_user_antennas > 1 else 2
     for t in range(1, MAX_OUTER + 1):
-        # p is the exact solve at the current (C, theta)
-        C, basis = mvdr_bank(p, A, noise), h_eff
+        # p is the exact solve at the current (C, theta), also after an accepted candidate
+        C = mvdr_bank(p, A, noise)
         if beam_stale < 2:
             coeffs = effective_coeffs(ch, detectors(C, h_eff))
             # a phase block that runs at all runs first at t = 1
@@ -136,24 +132,16 @@ def _solve(cfg, channels, profile, fw, rng, mu=None, qbar=None):
         if p is None:
             raise InfeasibleError("current iterate became infeasible")
         if beam_stale < 2:
-            # the candidate's channels face the detectors F = C h_eff held
-            # fixed in M-space, through the cross-Gram h_cand^* h_eff^T
-            h_cand = effective_channel(ch, cand)
-            trial = power_step(Ttilde, C, A, noise, gram(h_cand, h_eff))
-            accept, beam_stale = _gate(trial, p, beam_stale)
+            trial = _evaluate(ch, cand, p, Ttilde, noise)
+            accept, beam_stale = _gate(trial[3], p, beam_stale)
             if accept:
-                theta, h_eff, A, p = cand, h_cand, gram(h_cand), trial
+                theta, (h_eff, A, C, p) = cand, trial
         if tx_stale < 2:
-            # the candidate's channels get their own MVDR bank at the current powers
-            q_cand, ch_cand = _transmit_candidate(mu, theta, detectors(C, basis), p, noise)
-            h_cand = effective_channel(ch_cand, theta)
-            A_cand = gram(h_cand)
-            C_cand = mvdr_bank(p, A_cand, noise)
-            trial = power_step(Ttilde, C_cand, A_cand, noise)
-            accept, tx_stale = _gate(trial, p, tx_stale)
+            q_cand, ch_cand = _transmit_candidate(mu, theta, detectors(C, h_eff), p, noise)
+            trial = _evaluate(ch_cand, theta, p, Ttilde, noise)
+            accept, tx_stale = _gate(trial[3], p, tx_stale)
             if accept:
-                qbar, ch, h_eff, A, p = q_cand, ch_cand, h_cand, A_cand, trial
-                C, basis = C_cand, h_cand
+                qbar, ch, (h_eff, A, C, p) = q_cand, ch_cand, trial
         s = sum(p.tolist())
         trace.sum_power.append(s)
         trace.outer_iterations = t
@@ -163,7 +151,16 @@ def _solve(cfg, channels, profile, fw, rng, mu=None, qbar=None):
             trace.converged = True
             break
         prev_sum = s
-    return qbar, SolverState(p=p, F=detectors(C, basis), theta=theta, h_eff=h_eff), trace
+    return qbar, SolverState(p=p, F=detectors(C, h_eff), theta=theta, h_eff=h_eff), trace
+
+
+def _evaluate(ch, theta, p, Ttilde, noise):
+    """(h_eff, A, C, powers) of theta on ch: the effective channel, its Gram matrix, the
+    MVDR bank at the powers p and that bank's exact powers (None if it fails the gate)."""
+    h_eff = effective_channel(ch, theta)
+    A = gram(h_eff)
+    C = mvdr_bank(p, A, noise)
+    return h_eff, A, C, power_step(Ttilde, C, A, noise)
 
 
 def _gate(trial, p, stale):
@@ -180,8 +177,8 @@ def _beamformer_candidate(fw, coeffs, p, Ttilde, noise, theta, first_call, rng):
     if fw.beamformer == "ccmo":
         form = assemble_quadratic(coeffs, p, Ttilde, noise)
         starts = [theta, aligned_phases(coeffs)] if first_call and p.shape[0] == 1 else theta
-        return optimize_phases(form, starts, restarts=RESTARTS if first_call else 0, rng=rng,
-                               max_iter=CCMO_MAX_ITER, tol=CCMO_TOL).theta
+        return optimize_phases(form, starts, restarts=RESTARTS if first_call else 0,
+                               rng=rng).theta
     objective = FractionalObjective(coeffs, p, Ttilde, noise)
     return run_admm(objective, theta, max_outer=ADMM_MAX_OUTER,
                     max_inner=ADMM_MAX_INNER, tol_consensus=ADMM_TOL_CONSENSUS).theta

@@ -50,9 +50,9 @@ class PowerSolveReport:
     converged: bool = True
 
 
-def gram(H: np.ndarray, H2: np.ndarray | None = None) -> list:
-    """Gram matrix H^* H^T (entry [i][j] = h_i^H h_j), or cross-Gram H^* H2^T, as lists."""
-    return (H.conj() @ (H if H2 is None else H2).T).tolist()
+def gram(H: np.ndarray) -> list:
+    """Gram matrix H^* H^T (entry [i][j] = h_i^H h_j), as lists."""
+    return (H.conj() @ H.T).tolist()
 
 
 def detectors(C, H: np.ndarray) -> np.ndarray:
@@ -62,23 +62,20 @@ def detectors(C, H: np.ndarray) -> np.ndarray:
     return F / (H.conj() * F).sum(axis=1)[:, None]
 
 
-def build_interference(Ttilde, C, A, noise_power: float, X=None) -> tuple[list, list]:
+def build_interference(Ttilde, C, A, noise_power: float) -> tuple[list, list]:
     """Normalized cross gains Q (zero diagonal) and noise loads tau, as lists,
     for the detectors F = C H from the Gram matrix A of H.
 
-    The gains are h_j^H f_i = sum_l C[i][l] A[j][l]. Detectors facing other
-    channels H' (a phase candidate, F held fixed in M-space) take them from
-    the cross-Gram X = H'^* H^T (X[j][l] = h'_j^H h_l) instead; ||f_i||^2 reads A.
+    The gains are h_j^H f_i = sum_l C[i][l] A[j][l], and ||f_i||^2 reads them too.
     """
     Q, tau = [], []
     for i, c in enumerate(C):
-        seen = [sum(map(mul, c, a)) for a in A]  # h_j^H f_i
-        faced = seen if X is None else [sum(map(mul, c, x)) for x in X]
-        own = abs(faced[i]) ** 2
+        gains = [sum(map(mul, c, a)) for a in A]  # h_j^H f_i
+        own = abs(gains[i]) ** 2
         if not own > 0.0:
             raise DegenerateDetectorError(f"detector {i} has zero gain on its own channel")
-        Q.append([0.0 if j == i else Ttilde[i] * abs(z) ** 2 / own for j, z in enumerate(faced)])
-        f_norm_sq = sum([x * z.conjugate() for x, z in zip(c, seen)]).real  # f_i^H f_i
+        Q.append([0.0 if j == i else Ttilde[i] * abs(z) ** 2 / own for j, z in enumerate(gains)])
+        f_norm_sq = sum([x * z.conjugate() for x, z in zip(c, gains)]).real  # f_i^H f_i
         tau.append(noise_power * Ttilde[i] * f_norm_sq / own)
     return Q, tau
 
@@ -128,11 +125,11 @@ def solve_power_fixed_point(Q, tau) -> PowerSolveReport:
     return PowerSolveReport(p=np.array([x[0] for x in _eliminate(rows)]))
 
 
-def power_step(Ttilde, C, A, noise_power: float, X=None) -> np.ndarray | None:
-    """The exact powers of the detectors C facing cross-Gram X (default A),
-    or None if a detector is degenerate or the targets are infeasible."""
+def power_step(Ttilde, C, A, noise_power: float) -> np.ndarray | None:
+    """The exact powers of the detectors F = C H on the channels H with Gram
+    matrix A, or None if a detector is degenerate or the targets are infeasible."""
     try:
-        return solve_power_fixed_point(*build_interference(Ttilde, C, A, noise_power, X)).p
+        return solve_power_fixed_point(*build_interference(Ttilde, C, A, noise_power)).p
     except (DegenerateDetectorError, InfeasibleError):
         return None
 

@@ -74,6 +74,9 @@ class SystemConfig:
             raise ValueError(f"blockage probability must be in [0, 1], got {self.rho_b}")
         if len(self.user_xy) != self.K:
             raise ValueError(f"expected {self.K} user positions, got {len(self.user_xy)}")
+        positions = (self.ap_xy, self.irs_xy, *self.user_xy)
+        if any(len(xy) != 2 for xy in positions):
+            raise ValueError(f"positions must be (x, y) pairs, got {positions}")
 
     @property
     def N(self) -> int:

@@ -259,23 +259,35 @@ class TestCli:
         assert cli_main(["validate", "--spec", str(bad)]) == 1
 
     @pytest.mark.parametrize("command", ["validate", "run"])
-    @pytest.mark.parametrize("variable, value, base", [
-        ("rho_b", 1.5, {}),
-        ("N", 0, {}),
-        ("N", 8, {"D_nats": [5000, 6000, 7000]}),
-        ("N", 8, {"D_nats": [8000, 5000]}),
-        ("N", 8, {"D_nats": "abc"}),
-        ("N", 8, {"D_nats": -5}),
-        ("D", -5, {}),
+    @pytest.mark.parametrize("variable, value, base, top", [
+        ("rho_b", 1.5, {}, {}),
+        ("N", 0, {}, {}),
+        ("N", 8, {"D_nats": [5000, 6000, 7000]}, {}),
+        ("N", 8, {"D_nats": [8000, 5000]}, {}),
+        ("N", 8, {"D_nats": "abc"}, {}),
+        ("N", 8, {"D_nats": -5}, {}),
+        ("D", -5, {}, {}),
+        # counts are never truncated: 1.5 antennas is not one
+        ("N", 8.5, {}, {}),
+        ("N_u", 1.5, {}, {}),
+        *[("rho_b", 0.5, {name: 1.6}, {}) for name in ("M", "N_az", "N_el", "K", "L", "N_u")],
+        ("N", 8, {}, {"trials": 1.9}),
+        ("N", 8, {}, {"seed": 3.7}),
+        # positions are (x, y) pairs of numbers
+        ("N", 8, {"ap_xy": [0.0]}, {}),
+        ("N", 8, {"irs_xy": [80.0, 0.0, 1.0]}, {}),
+        ("N", 8, {"d_x1": [40.0, 1.0]}, {}),
     ], ids=["rho_b-1.5", "N-0", "D_nats-triple", "D_nats-reversed", "D_nats-text",
-            "D_nats-negative", "D--5"])
+            "D_nats-negative", "D--5", "N-8.5", "N_u-1.5", "M-1.6", "N_az-1.6", "N_el-1.6",
+            "K-1.6", "L-1.6", "base-N_u-1.6", "trials-1.9", "seed-3.7", "ap_xy-single",
+            "irs_xy-triple", "user_xy-list"])
     def test_out_of_range_grid_value_is_spec_error(self, tmp_path, capsys, command,
-                                                   variable, value, base):
+                                                   variable, value, base, top):
         out = tmp_path / "x.csv"
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"name": "x", "sweep_variable": variable, "grid": [value],
                                     "trials": 1, "solvers": ["none"], "output": str(out),
-                                    "base": base}))
+                                    "base": base, **top}))
         assert cli_main([command, "--spec", str(spec)]) == 1
         assert "spec error" in capsys.readouterr().err
         assert not out.exists()

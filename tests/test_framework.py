@@ -211,58 +211,64 @@ class TestGramLoop:
             solve(cfg, ch, prof, FrameworkConfig(beamformer="none"))
         assert counts["channel"] == 1
 
-    @pytest.mark.parametrize("solver", ["ccmo", "admm"])
-    def test_candidate_faces_the_current_detectors(self, monkeypatch, solver):
-        # a phase candidate is judged with the detectors F of the current
-        # phases held fixed in M-space: its powers come from |f_i^H h_j(cand)|^2
-        cfg = small_cfg(K=2, rho_b=1.0)
-        ch, prof = draw(cfg, 3)
+    @pytest.mark.parametrize("solver", ["ccmo", "admm", "fixed-random"])
+    def test_every_candidate_gets_its_own_mvdr_bank(self, monkeypatch, solver):
+        # a phase or transmit candidate is judged like the start: the MVDR
+        # bank on the candidate's channels at the pre-candidate powers, then
+        # that bank's exact powers; checked against a dense M-space solve
         events = []
-        coeffs, candidate = framework.effective_coeffs, framework._beamformer_candidate
-        power_solve = power_detect.solve_power_fixed_point
+        phase, transmit, gate = (framework._beamformer_candidate, framework._transmit_candidate,
+                                 framework._gate)
 
-        def spy_coeffs(channels, F):
-            events.append(("F", F))
-            return coeffs(channels, F)
+        def spy_phase(fw, coeffs, p, Ttilde, noise, theta, *rest):
+            cand = phase(fw, coeffs, p, Ttilde, noise, theta, *rest)
+            events.append(effective_channel(ch, cand))
+            return cand
 
-        def spy_candidate(*args):
-            theta = candidate(*args)
-            events.append(("theta", theta))
-            return theta
+        def spy_transmit(mu, theta, *rest):
+            q, ch_cand = transmit(mu, theta, *rest)
+            events.append(effective_channel(ch_cand, theta))
+            return q, ch_cand
 
-        def spy_solve(Q, tau):
-            try:
-                p = power_solve(Q, tau).p
-            except InfeasibleError:
-                events.append(("p", None))
-                raise
-            events.append(("p", p))
-            return power_detect.PowerSolveReport(p=p)
+        def spy_gate(trial, p, stale):
+            accept, stale = gate(trial, p, stale)
+            events.append((trial, p, accept))
+            return accept, stale
 
-        monkeypatch.setattr(framework, "effective_coeffs", spy_coeffs)
-        monkeypatch.setattr(framework, "_beamformer_candidate", spy_candidate)
-        monkeypatch.setattr(power_detect, "solve_power_fixed_point", spy_solve)
-        solve(cfg, ch, prof, FrameworkConfig(beamformer=solver), np.random.default_rng(0))
+        monkeypatch.setattr(framework, "_beamformer_candidate", spy_phase)
+        monkeypatch.setattr(framework, "_transmit_candidate", spy_transmit)
+        monkeypatch.setattr(framework, "_gate", spy_gate)
+        if solver == "fixed-random":
+            # this draw accepts at least one transmit update
+            cfg = small_cfg(K=2, rho_b=1.0, n_u=2)
+            ch = sample_multi_antenna_channels(cfg, np.random.default_rng([33, 0]))
+            prof = LatencyProfile.from_data(
+                np.random.default_rng([33, 1]).uniform(5000, 8000, 2), cfg.W, cfg.T)
+            solve_multi_antenna(cfg, ch, prof, FrameworkConfig(beamformer=solver),
+                                np.random.default_rng(0))
+        else:
+            cfg = small_cfg(K=2, rho_b=1.0)
+            ch, prof = draw(cfg, 3)
+            solve(cfg, ch, prof, FrameworkConfig(beamformer=solver), np.random.default_rng(0))
 
-        checked = 0
         Tt, noise = prof.Ttilde, cfg.noise_power
-        for e, (kind, theta) in enumerate(events):
-            if kind != "theta":
-                continue
-            F = events[e - 1][1]
-            base, trial = events[e + 1], events[e + 2]  # the current phases, then the candidate
-            assert base[0] == trial[0] == "p"
-            h_cand = effective_channel(ch, theta)
-            cross = np.abs(F.conj() @ h_cand.T) ** 2  # M-space cross gains
+        assert len(events) > 0 and len(events) % 2 == 0
+        for h, (trial, p, _) in zip(events[::2], events[1::2]):
+            F = []
+            for k in range(2):
+                others = [j for j in range(2) if j != k]
+                R = noise * np.eye(cfg.M) + sum(p[j] * np.outer(h[j], h[j].conj())
+                                                 for j in others)
+                F.append(np.linalg.solve(R, h[k]))
+            F = np.array(F)
+            cross = np.abs(F.conj() @ h.T) ** 2  # |f_i^H h_j|^2
             own = np.diag(cross)
             Q = Tt[:, None] * cross / own[:, None]
             np.fill_diagonal(Q, 0.0)
             tau = noise * Tt * np.sum(np.abs(F) ** 2, axis=1) / own
-            expect = np.linalg.solve(np.eye(2) - Q, tau)
-            assert trial[1] is not None
-            np.testing.assert_allclose(trial[1], expect, rtol=1e-12)
-            checked += 1
-        assert checked > 0
+            assert trial is not None
+            np.testing.assert_allclose(trial, np.linalg.solve(np.eye(2) - Q, tau), rtol=1e-10)
+        assert any(accept for _, _, accept in events[1::2])
 
 
 class TestGolden:
@@ -276,8 +282,8 @@ class TestGolden:
         (1, "admm", [1.1667316734828502e-05], 20),
         (2, "none", [3.0162633276329626e-06, 0.00011563618412500794], 2),
         (2, "fixed-random", [3.0097960584343948e-06, 4.036432486556494e-05], 2),
-        (2, "ccmo", [3.000844273154635e-06, 5.647228206427589e-06], 7),
-        (2, "admm", [3.000869710572851e-06, 5.647232734205459e-06], 15),
+        (2, "ccmo", [3.000832532181374e-06, 5.647238291742802e-06], 7),
+        (2, "admm", [3.0008416101747544e-06, 5.647240758943328e-06], 16),
     ])
     def test_solve(self, K, solver, p, outer):
         cfg = small_cfg(K=K, rho_b=1.0)
