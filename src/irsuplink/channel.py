@@ -56,30 +56,17 @@ class PathLossParams:
 
 @dataclass(frozen=True)
 class GainParams:
-    """Element gains in dBi and the IRS relative reflection gain nu in dB.
-
-    nu is defined by rho_I = nu + (rho_B + rho_U)/2 in the dB domain. Pass
-    either rho_I or nu; the other is derived. Passing both is accepted only
-    if consistent.
+    """The IRS relative reflection gain nu in dB and the user and AP element
+    gains in dBi; the IRS element gain is rho_I = nu + (rho_B + rho_U)/2 in dB.
     """
 
+    nu: float
     rho_U: float = 0.0
     rho_B: float = 9.82
-    rho_I: float | None = None
-    nu: float | None = None
 
-    def __post_init__(self):
-        mid = 0.5 * (self.rho_B + self.rho_U)
-        if self.rho_I is None and self.nu is None:
-            raise ValueError("one of rho_I or nu is required")
-        if self.rho_I is None:
-            object.__setattr__(self, "rho_I", self.nu + mid)
-        elif self.nu is None:
-            object.__setattr__(self, "nu", self.rho_I - mid)
-        elif abs(self.rho_I - (self.nu + mid)) > 1e-9:
-            raise ValueError(
-                f"inconsistent gains: rho_I={self.rho_I} dBi vs nu+avg={self.nu + mid} dBi"
-            )
+    @property
+    def rho_I(self) -> float:
+        return self.nu + 0.5 * (self.rho_B + self.rho_U)
 
     @property
     def amp_user(self) -> float:
@@ -146,29 +133,19 @@ class MultiAntennaChannels:
         return ChannelSet(h_direct=h_d, h_irs=h_r, u=self.u, v=self.v, blockage=self.blockage)
 
 
-def _ula(m: int, sine: float) -> np.ndarray:
-    # centered index set {n - (m-1)/2}, half-wavelength spacing -> phase -pi*sine*idx
-    idx = np.arange(m) - (m - 1) / 2.0
-    return np.exp(-1j * np.pi * sine * idx) / np.sqrt(m)
-
-
 def ula_steering(m: int, direction: float) -> np.ndarray:
     """Normalized ULA steering vector (M,) for a directional sine in [-1, 1]."""
     if m < 1:
         raise ValueError(f"array needs at least one element, got {m}")
-    return _ula(m, direction)
-
-
-def _ura(n_az: int, n_el: int, az: float, el: float) -> np.ndarray:
-    # element i * n_el + j is a_i b_j, as in np.kron(a, b)
-    return np.multiply.outer(_ula(n_az, az), _ula(n_el, el)).ravel()
+    # centered index set {n - (m-1)/2}, half-wavelength spacing -> phase -pi*direction*idx
+    idx = np.arange(m) - (m - 1) / 2.0
+    return np.exp(-1j * np.pi * direction * idx) / np.sqrt(m)
 
 
 def ura_steering(n_az: int, n_el: int, az: float, el: float) -> np.ndarray:
     """URA steering vector (n_az n_el,): Kronecker product of the two ULA factors."""
-    if n_az < 1 or n_el < 1:
-        raise ValueError(f"array needs at least one element per axis, got {n_az}x{n_el}")
-    return _ura(n_az, n_el, az, el)
+    # element i * n_el + j is a_i b_j, as in np.kron(a, b)
+    return np.multiply.outer(ula_steering(n_az, az), ula_steering(n_el, el)).ravel()
 
 
 def path_loss_db(params: PathLossParams, distance_m: float, rng: np.random.Generator) -> float:
@@ -203,7 +180,7 @@ def _path_gain(params: PathLossParams, dist: float, n_u, rng: np.random.Generato
     at N_u = 1, so their variate count does not depend on N_u.
     """
     xi = _complex_gain(path_loss_db(params, dist, rng), rng)
-    return xi, 1.0 if n_u is None else _ula(n_u, rng.uniform(-1.0, 1.0)).conj()
+    return xi, 1.0 if n_u is None else ula_steering(n_u, rng.uniform(-1.0, 1.0)).conj()
 
 
 def _direct_link(cfg, user_xy, blocked: bool, n_u, rng: np.random.Generator) -> np.ndarray:
@@ -215,11 +192,11 @@ def _direct_link(cfg, user_xy, blocked: bool, n_u, rng: np.random.Generator) -> 
     h = np.zeros((m,) + np.shape(u), dtype=complex)
     if not blocked:
         los_sine = _directional_sine(cfg.ap_xy, user_xy, _AP_BROADSIDE)
-        h += xi * amp * np.multiply.outer(_ula(m, los_sine), u)
+        h += xi * amp * np.multiply.outer(ula_steering(m, los_sine), u)
     for _ in range(L):
         sine = rng.uniform(-1.0, 1.0)
         xi, u = _path_gain(cfg.path_loss_nlos, dist, n_u, rng)
-        h += xi * amp * np.multiply.outer(_ula(m, sine), u)
+        h += xi * amp * np.multiply.outer(ula_steering(m, sine), u)
     return np.sqrt(m * np.size(u) / (L + 1)) * h
 
 
@@ -235,7 +212,7 @@ def _irs_links(cfg, user_positions, n_u, rng: np.random.Generator):
         xi, u = _path_gain(cfg.path_loss_los, dist, n_u, rng)
         az = _directional_sine(cfg.irs_xy, xy, _IRS_BROADSIDE)
         h_irs.append(np.sqrt(n * np.size(u)) * xi * amp_iu
-                     * np.multiply.outer(_ura(n_az, n_el, az, 0.0), u))
+                     * np.multiply.outer(ura_steering(n_az, n_el, az, 0.0), u))
 
     dist_g = float(np.hypot(cfg.irs_xy[0] - cfg.ap_xy[0], cfg.irs_xy[1] - cfg.ap_xy[1]))
     pl_g = path_loss_db(cfg.path_loss_los, dist_g, rng)
@@ -243,8 +220,8 @@ def _irs_links(cfg, user_positions, n_u, rng: np.random.Generator):
     phi = _directional_sine(cfg.ap_xy, cfg.irs_xy, _AP_BROADSIDE)
     az_g = _directional_sine(cfg.irs_xy, cfg.ap_xy, _IRS_BROADSIDE)
     # G = u v^H with the path's scalar on the AP factor u
-    return (np.stack(h_irs), np.sqrt(cfg.M * n) * xi_g * amp_bi * _ula(cfg.M, phi),
-            _ura(n_az, n_el, az_g, 0.0))
+    return (np.stack(h_irs), np.sqrt(cfg.M * n) * xi_g * amp_bi * ula_steering(cfg.M, phi),
+            ura_steering(n_az, n_el, az_g, 0.0))
 
 
 def _sample_links(cfg, n_u, rng: np.random.Generator):

@@ -66,14 +66,11 @@ def _load_spec(args) -> ExperimentSpec:
         overrides["solvers"] = tuple(s.strip() for s in args.solvers.split(",") if s.strip())
     if args.out is not None:
         overrides["output"] = args.out
-    if overrides:
-        spec = replace(spec, **overrides)
-    spec.validate()
-    return spec
+    return replace(spec, **overrides)
 
 
 def _cmd_run(args) -> int:
-    spec = _load_spec(args)
+    spec = _load_spec(args)  # run_experiment validates it before any trial
     out_path = spec.output or f"{spec.name}.csv"
     table = run_experiment(spec)
     emit_csv(table, out_path)

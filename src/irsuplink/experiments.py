@@ -10,10 +10,12 @@ Specs are plain JSON and round-trip losslessly.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import numbers
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
 
@@ -34,7 +36,11 @@ __all__ = [
     "write_plot_script",
 ]
 
-SWEEP_VARIABLES = ("N", "d_x1", "D", "nu", "rho_b", "N_u", "T")
+# sweep variable -> the base key its grid value sets; the N grid instead sets
+# N_az x N_el from the base N_az (see _factor_elements)
+SWEEP_KEYS = {"d_x1": "d_x1", "D": "D_nats", "nu": "nu_db", "rho_b": "rho_b", "N_u": "N_u",
+              "T": "T_s"}
+SWEEP_VARIABLES = ("N", *SWEEP_KEYS)
 _SOLVER_INDEX = {name: i for i, name in enumerate(SOLVERS)}
 
 METRICS = ("sum_power_dbm", "worst_latency_ms", "feasible", "iterations")
@@ -60,7 +66,7 @@ BASE_DEFAULTS = {
     "d_y1": 40.0,
     "d_x2": 50.0,
     "d_y2": 20.0,
-    "D_nats": (5000.0, 8000.0),  # scalar pins D_k; a pair samples uniformly per trial
+    "D_nats": (5000.0, 8000.0),  # a pair samples D_k uniformly per trial; a scalar pins it
 }
 
 
@@ -98,6 +104,9 @@ class ExperimentSpec:
         for key in self.base:
             if key not in BASE_DEFAULTS:
                 problems.append(f"unknown base parameter {key!r}")
+        for value in self.grid:
+            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+                problems.append(f"grid value {value!r} is not a finite number")
         if problems:
             raise SpecError("; ".join(problems))
         try:
@@ -113,21 +122,14 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentSpec":
+        """Parse a spec; its keys are exactly the fields. validate() checks the values."""
         try:
-            spec = cls(
-                name=d["name"],
-                sweep_variable=d["sweep_variable"],
-                grid=tuple(d["grid"]),
-                trials=_integer(d.get("trials", 50), "trials"),
-                seed=_integer(d.get("seed", 2024), "seed"),
-                solvers=tuple(d.get("solvers", ("ccmo", "admm", "none", "fixed-random"))),
-                output=d.get("output"),
-                base=dict(d.get("base", {})),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
+            spec = cls(**d)
+            return replace(spec, grid=tuple(spec.grid), solvers=tuple(spec.solvers),
+                           base=dict(spec.base), trials=_integer(spec.trials, "trials"),
+                           seed=_integer(spec.seed, "seed"))
+        except (TypeError, ValueError) as exc:
             raise SpecError(f"malformed spec: {exc}") from exc
-        spec.validate()
-        return spec
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
@@ -175,29 +177,16 @@ def _factor_elements(n: int, n_az: int) -> tuple[int, int]:
     return n, 1
 
 
-def _build_config(base: dict, variable: str, value) -> tuple[SystemConfig, object]:
-    """SystemConfig for one grid point, plus the data-size spec (scalar or range)."""
-    params = dict(BASE_DEFAULTS)
-    params.update(base)
-    if variable == "N":
-        params["N_az"], params["N_el"] = _factor_elements(_integer(value, "N"),
-                                                          _integer(params["N_az"], "N_az"))
-    elif variable == "d_x1":
-        params["d_x1"] = float(value)
-    elif variable == "D":
-        params["D_nats"] = float(value)
-    elif variable == "nu":
-        params["nu_db"] = float(value)
-    elif variable == "rho_b":
-        params["rho_b"] = float(value)
-    elif variable == "N_u":
-        params["N_u"] = value
-    elif variable == "T":
-        params["T_s"] = float(value)
-
+def _build_config(base: dict, variable: str, value) -> tuple[SystemConfig, tuple]:
+    """SystemConfig for one grid point, plus the data-size range (lo, hi)."""
+    params = {**BASE_DEFAULTS, **base}
+    if variable in SWEEP_KEYS:
+        params[SWEEP_KEYS[variable]] = value
     users = ((float(params["d_x1"]), float(params["d_y1"])),
              (float(params["d_x2"]), -float(params["d_y2"])))
     counts = {key: _integer(params[key], key) for key in ("M", "N_az", "N_el", "K", "L", "N_u")}
+    if variable == "N":  # after the base counts are checked, so a base N_el of 1.6 is an error
+        counts["N_az"], counts["N_el"] = _factor_elements(_integer(value, "N"), counts["N_az"])
     if counts["K"] > 2:
         raise SpecError(f"base geometry defines positions for up to 2 users, got K={counts['K']}")
     return SystemConfig(
@@ -211,24 +200,16 @@ def _build_config(base: dict, variable: str, value) -> tuple[SystemConfig, objec
         ap_xy=tuple(map(float, params["ap_xy"])),
         irs_xy=tuple(map(float, params["irs_xy"])),
         user_xy=users[:counts["K"]],
-    ), _data_size_spec(params["D_nats"])
+    ), _data_size_range(params["D_nats"])
 
 
-def _data_size_spec(d):
-    """D_nats as a size >= 0 for every user, or a pair 0 <= lo <= hi to draw from."""
-    spec = tuple(float(x) for x in d) if isinstance(d, (list, tuple)) else float(d)
-    bounds = spec if isinstance(spec, tuple) else (spec, spec)
-    if len(bounds) != 2 or not 0.0 <= bounds[0] <= bounds[1]:
-        raise ValueError(f"D_nats must be a size >= 0 or a pair 0 <= lo <= hi, got {d!r}")
-    return spec
-
-
-def _draw_data_sizes(d_spec, k: int, rng: np.random.Generator) -> np.ndarray:
-    if np.isscalar(d_spec):
-        rng.uniform(size=k)  # keep the stream aligned with the sampled case
-        return np.full(k, float(d_spec))
-    lo, hi = d_spec
-    return rng.uniform(float(lo), float(hi), size=k)
+def _data_size_range(d) -> tuple[float, float]:
+    """D_nats as a pair 0 <= lo <= hi to draw each user's size from; a scalar d is (d, d),
+    which draws d exactly from as many variates as a range, so the streams stay paired."""
+    bounds = tuple(map(float, d)) if isinstance(d, (list, tuple)) else (float(d),) * 2
+    if len(bounds) != 2 or not 0.0 <= bounds[0] <= bounds[1] < math.inf:
+        raise ValueError(f"D_nats must be a finite size >= 0 or a pair 0 <= lo <= hi, got {d!r}")
+    return bounds
 
 
 def _run_trial(cfg: SystemConfig, d_spec, solver: str, sweep_variable: str,
@@ -236,7 +217,7 @@ def _run_trial(cfg: SystemConfig, d_spec, solver: str, sweep_variable: str,
     rng_channel = np.random.default_rng([seed, trial, 0])
     rng_data = np.random.default_rng([seed, trial, 1])
     rng_solver = np.random.default_rng([seed, trial, 2, _SOLVER_INDEX[solver]])
-    D = _draw_data_sizes(d_spec, cfg.K, rng_data)
+    D = rng_data.uniform(*d_spec, size=cfg.K)
     profile = LatencyProfile.from_data(D, cfg.W, cfg.T)
     fw = FrameworkConfig(beamformer=solver)
     start = time.perf_counter()
@@ -265,10 +246,10 @@ def _run_trial(cfg: SystemConfig, d_spec, solver: str, sweep_variable: str,
 
 
 def _aggregate(rows) -> tuple:
-    points = sorted({(r.sweep_value, r.solver) for r in rows})
+    """Statistics per (sweep value, solver) over rows sorted by that pair."""
     out = []
-    for value, solver in points:
-        sel = [r for r in rows if r.sweep_value == value and r.solver == solver]
+    for (value, solver), group in itertools.groupby(rows, lambda r: (r.sweep_value, r.solver)):
+        sel = list(group)
         ok = [r for r in sel if r.feasible]
         metrics = {}
         series = {
@@ -338,27 +319,25 @@ def read_csv(path) -> list[dict]:
 
 def scenario_default() -> dict[str, ExperimentSpec]:
     """Built-in presets mirroring the reference sweeps at desk scale."""
-    def make(name, variable, grid, trials=50, seed=2024,
-             solvers=("ccmo", "admm", "none", "fixed-random"), **base):
-        return ExperimentSpec(name=name, sweep_variable=variable, grid=tuple(grid),
-                              trials=trials, seed=seed, solvers=solvers,
-                              output=f"{name.replace('-', '_')}.csv", base=base)
+    def make(name, variable, grid, base, **fields):
+        return ExperimentSpec(name=name, sweep_variable=variable, grid=grid,
+                              output=f"{name.replace('-', '_')}.csv", base=base, **fields)
 
-    return {
-        "quick": make("quick", "N", (8, 16), trials=2, seed=7,
-                      solvers=("ccmo", "none"), rho_b=1.0),
-        "fig4-los": make("fig4-los", "N", (8, 16, 32, 64), rho_b=0.0),
-        "fig4-olos": make("fig4-olos", "N", (8, 16, 32, 64), rho_b=1.0),
-        "fig5": make("fig5", "d_x1", (10, 20, 30, 40, 50, 60, 70), rho_b=0.0),
-        "fig5-olos": make("fig5-olos", "d_x1", (10, 20, 30, 40, 50, 60, 70), rho_b=1.0),
-        "fig6": make("fig6", "D", (4000, 5000, 6000, 7000, 8000), rho_b=0.0),
-        "fig6-olos": make("fig6-olos", "D", (4000, 5000, 6000, 7000, 8000), rho_b=1.0),
-        "fig7": make("fig7", "nu", (10.0, 12.5, 15.0, 17.5, 20.0), rho_b=1.0),
-        "fig8": make("fig8", "rho_b", (0.0, 0.25, 0.5, 0.75, 1.0)),
-        "fig9-two-user": make("fig9-two-user", "N", (16, 32, 64), K=2, rho_b=1.0),
-        "multi-antenna": make("multi-antenna", "N_u", (1, 2, 4), K=2, rho_b=1.0,
-                              trials=20, solvers=("ccmo", "none")),
-    }
+    specs = (
+        make("quick", "N", (8, 16), {"rho_b": 1.0}, trials=2, seed=7, solvers=("ccmo", "none")),
+        make("fig4-los", "N", (8, 16, 32, 64), {"rho_b": 0.0}),
+        make("fig4-olos", "N", (8, 16, 32, 64), {"rho_b": 1.0}),
+        make("fig5", "d_x1", (10, 20, 30, 40, 50, 60, 70), {"rho_b": 0.0}),
+        make("fig5-olos", "d_x1", (10, 20, 30, 40, 50, 60, 70), {"rho_b": 1.0}),
+        make("fig6", "D", (4000, 5000, 6000, 7000, 8000), {"rho_b": 0.0}),
+        make("fig6-olos", "D", (4000, 5000, 6000, 7000, 8000), {"rho_b": 1.0}),
+        make("fig7", "nu", (10.0, 12.5, 15.0, 17.5, 20.0), {"rho_b": 1.0}),
+        make("fig8", "rho_b", (0.0, 0.25, 0.5, 0.75, 1.0), {}),
+        make("fig9-two-user", "N", (16, 32, 64), {"K": 2, "rho_b": 1.0}),
+        make("multi-antenna", "N_u", (1, 2, 4), {"K": 2, "rho_b": 1.0}, trials=20,
+             solvers=("ccmo", "none")),
+    )
+    return {spec.name: spec for spec in specs}
 
 
 _PLOT_TEMPLATE = '''"""Plot mean total power (dBm) per solver from {csv_name}."""

@@ -98,13 +98,12 @@ class LatencyProfile:
     """Per-user data sizes and the derived protection ratios."""
 
     D: np.ndarray
-    T: float
     Ttilde: np.ndarray
 
     @classmethod
     def from_data(cls, D, W: float, T: float) -> "LatencyProfile":
         D = np.asarray(D, dtype=float)
-        return cls(D=D, T=T, Ttilde=protection_ratios(D, W, T))
+        return cls(D=D, Ttilde=protection_ratios(D, W, T))
 
 
 def effective_channel(ch: ChannelSet, theta: np.ndarray) -> np.ndarray:

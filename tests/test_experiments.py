@@ -165,7 +165,7 @@ class TestSweepVariables:
                          solvers=("none",),
                          base={"M": 8, "N_az": 4, "N_el": 2, "K": 2})
         cfg, d_spec = _build_config(spec.base, "D", 6000.0)
-        assert d_spec == 6000.0
+        assert d_spec == (6000.0, 6000.0)
         table = run_experiment(spec)
         # equal data sizes -> equal protection ratios for both users
         row = table.rows[0]
@@ -175,7 +175,7 @@ class TestSweepVariables:
         # a base N_u above 1 takes the multi-antenna path at every grid point
         from irsuplink import (FrameworkConfig, LatencyProfile, sample_multi_antenna_channels,
                                solve_multi_antenna, watts_to_dbm)
-        from irsuplink.experiments import _SOLVER_INDEX, _draw_data_sizes
+        from irsuplink.experiments import _SOLVER_INDEX
 
         spec = tiny_spec(name="base-nu", grid=(8, 16), trials=2, solvers=("fixed-random",),
                          base={"M": 8, "K": 2, "rho_b": 1.0, "N_u": 2})
@@ -184,7 +184,7 @@ class TestSweepVariables:
             trial = i % spec.trials
             cfg, d_spec = _build_config(spec.base, "N", row.sweep_value)
             mu = sample_multi_antenna_channels(cfg, np.random.default_rng([spec.seed, trial, 0]))
-            D = _draw_data_sizes(d_spec, cfg.K, np.random.default_rng([spec.seed, trial, 1]))
+            D = np.random.default_rng([spec.seed, trial, 1]).uniform(*d_spec, size=cfg.K)
             _, st, _ = solve_multi_antenna(
                 cfg, mu, LatencyProfile.from_data(D, cfg.W, cfg.T),
                 FrameworkConfig(beamformer="fixed-random"),
@@ -277,10 +277,20 @@ class TestCli:
         ("N", 8, {"ap_xy": [0.0]}, {}),
         ("N", 8, {"irs_xy": [80.0, 0.0, 1.0]}, {}),
         ("N", 8, {"d_x1": [40.0, 1.0]}, {}),
+        # a spec's top-level keys are exactly its fields
+        ("N", 8, {}, {"trails": 2}),
+        # the N grid sets N_az x N_el, but a base N_el is still a count
+        ("N", 8, {"N_el": 1.6}, {}),
+        # a grid point is a number, never a (lo, hi) data-size pair
+        ("D", [5000.0, 6000.0], {}, {}),
+        # grid points and data sizes are finite
+        ("d_x1", math.nan, {}, {}),
+        ("N", 8, {"D_nats": math.inf}, {}),
     ], ids=["rho_b-1.5", "N-0", "D_nats-triple", "D_nats-reversed", "D_nats-text",
             "D_nats-negative", "D--5", "N-8.5", "N_u-1.5", "M-1.6", "N_az-1.6", "N_el-1.6",
             "K-1.6", "L-1.6", "base-N_u-1.6", "trials-1.9", "seed-3.7", "ap_xy-single",
-            "irs_xy-triple", "user_xy-list"])
+            "irs_xy-triple", "user_xy-list", "top-trails", "N-sweep-N_el-1.6", "D-pair", "d_x1-nan",
+            "D_nats-inf"])
     def test_out_of_range_grid_value_is_spec_error(self, tmp_path, capsys, command,
                                                    variable, value, base, top):
         out = tmp_path / "x.csv"

@@ -40,7 +40,6 @@ class TestProtectionRatios:
     def test_profile_carries_positive_ratios(self):
         prof = LatencyProfile.from_data([5000.0, 8000.0], 5e8, 0.05)
         assert np.all(prof.Ttilde > 0)
-        assert prof.T == 0.05
 
 
 class TestUnits:
