@@ -133,19 +133,20 @@ class MultiAntennaChannels:
         return ChannelSet(h_direct=h_d, h_irs=h_r, u=self.u, v=self.v, blockage=self.blockage)
 
 
-def ula_steering(m: int, direction: float) -> np.ndarray:
-    """Normalized ULA steering vector (M,) for a directional sine in [-1, 1]."""
+def ula_steering(m: int, direction) -> np.ndarray:
+    """Normalized ULA steering vector (M,) for a directional sine in [-1, 1]; rows for P sines."""
     if m < 1:
         raise ValueError(f"array needs at least one element, got {m}")
     # centered index set {n - (m-1)/2}, half-wavelength spacing -> phase -pi*direction*idx
     idx = np.arange(m) - (m - 1) / 2.0
-    return np.exp(-1j * np.pi * direction * idx) / np.sqrt(m)
+    return np.exp(-1j * np.pi * np.asarray(direction)[..., None] * idx) / np.sqrt(m)
 
 
-def ura_steering(n_az: int, n_el: int, az: float, el: float) -> np.ndarray:
-    """URA steering vector (n_az n_el,): Kronecker product of the two ULA factors."""
+def ura_steering(n_az: int, n_el: int, az, el) -> np.ndarray:
+    """URA steering vector (n_az n_el,): Kronecker product of the two ULA factors; a row each."""
     # element i * n_el + j is a_i b_j, as in np.kron(a, b)
-    return np.multiply.outer(ula_steering(n_az, az), ula_steering(n_el, el)).ravel()
+    kron = ula_steering(n_az, az)[..., :, None] * ula_steering(n_el, el)[..., None, :]
+    return kron.reshape(kron.shape[:-2] + (n_az * n_el,))
 
 
 def path_loss_db(params: PathLossParams, distance_m: float, rng: np.random.Generator) -> float:
@@ -173,14 +174,22 @@ _IRS_BROADSIDE = np.pi  # URA facing -x, toward the AP
 
 
 def _path_gain(params: PathLossParams, dist: float, n_u, rng: np.random.Generator):
-    """Complex gain of one path and its user-side response.
+    """Complex gain of one path and its user-side AoD sine.
 
-    Single-antenna links (n_u None) take the scalar response 1 and draw
-    nothing more; N_u-antenna links draw an AoD sine after the gain, also
-    at N_u = 1, so their variate count does not depend on N_u.
+    Single-antenna links (n_u None) draw nothing more and get None;
+    N_u-antenna links draw an AoD sine after the gain, also at N_u = 1, so
+    their variate count does not depend on N_u.
     """
     xi = _complex_gain(path_loss_db(params, dist, rng), rng)
-    return xi, 1.0 if n_u is None else ula_steering(n_u, rng.uniform(-1.0, 1.0)).conj()
+    return xi, None if n_u is None else rng.uniform(-1.0, 1.0)
+
+
+def _path_terms(gains, a, aods, n_u) -> np.ndarray:
+    """Rows gains[p] (a[p] x conj(ULA(n_u, aods[p]))), or gains[p] a[p] when n_u is None."""
+    g = np.array(gains, dtype=complex)[:, None]
+    if n_u is None:
+        return g * a
+    return g[..., None] * (a[:, :, None] * ula_steering(n_u, aods).conj()[:, None, :])
 
 
 def _direct_link(cfg, user_xy, blocked: bool, n_u, rng: np.random.Generator) -> np.ndarray:
@@ -188,31 +197,28 @@ def _direct_link(cfg, user_xy, blocked: bool, n_u, rng: np.random.Generator) -> 
     dist = float(np.hypot(user_xy[0] - cfg.ap_xy[0], user_xy[1] - cfg.ap_xy[1]))
     amp = cfg.gain.amp_ap * cfg.gain.amp_user
 
-    xi, u = _path_gain(cfg.path_loss_los, dist, n_u, rng)
-    h = np.zeros((m,) + np.shape(u), dtype=complex)
-    if not blocked:
-        los_sine = _directional_sine(cfg.ap_xy, user_xy, _AP_BROADSIDE)
-        h += xi * amp * np.multiply.outer(ula_steering(m, los_sine), u)
+    # (sine, gain, AoD) per path in draw order; a blocked LoS path still draws its variates
+    paths = [(_directional_sine(cfg.ap_xy, user_xy, _AP_BROADSIDE),
+              *_path_gain(cfg.path_loss_los, dist, n_u, rng))]
     for _ in range(L):
         sine = rng.uniform(-1.0, 1.0)
-        xi, u = _path_gain(cfg.path_loss_nlos, dist, n_u, rng)
-        h += xi * amp * np.multiply.outer(ula_steering(m, sine), u)
-    return np.sqrt(m * np.size(u) / (L + 1)) * h
+        paths.append((sine, *_path_gain(cfg.path_loss_nlos, dist, n_u, rng)))
+    sines, xis, aods = (column[int(blocked):] for column in zip(*paths))
+    h = _path_terms([xi * amp for xi in xis], ula_steering(m, sines), aods, n_u)
+    return np.sqrt(m * (n_u or 1) / (L + 1)) * h.sum(axis=0)  # rows added in path order
 
 
-def _irs_links(cfg, user_positions, n_u, rng: np.random.Generator):
+def _irs_links(cfg, users, n_u, rng: np.random.Generator):
     n_az, n_el = cfg.N_az, cfg.N_el
     n = n_az * n_el
     amp_iu = cfg.gain.amp_irs * cfg.gain.amp_user
     amp_bi = cfg.gain.amp_ap * cfg.gain.amp_irs
 
-    h_irs = []
-    for xy in user_positions:
-        dist = float(np.hypot(xy[0] - cfg.irs_xy[0], xy[1] - cfg.irs_xy[1]))
-        xi, u = _path_gain(cfg.path_loss_los, dist, n_u, rng)
-        az = _directional_sine(cfg.irs_xy, xy, _IRS_BROADSIDE)
-        h_irs.append(np.sqrt(n * np.size(u)) * xi * amp_iu
-                     * np.multiply.outer(ura_steering(n_az, n_el, az, 0.0), u))
+    dists = [float(np.hypot(xy[0] - cfg.irs_xy[0], xy[1] - cfg.irs_xy[1])) for xy in users]
+    xis, aods = zip(*[_path_gain(cfg.path_loss_los, dist, n_u, rng) for dist in dists])
+    azs = [_directional_sine(cfg.irs_xy, xy, _IRS_BROADSIDE) for xy in users]
+    h_irs = _path_terms([np.sqrt(n * (n_u or 1)) * xi * amp_iu for xi in xis],
+                        ura_steering(n_az, n_el, azs, 0.0), aods, n_u)
 
     dist_g = float(np.hypot(cfg.irs_xy[0] - cfg.ap_xy[0], cfg.irs_xy[1] - cfg.ap_xy[1]))
     pl_g = path_loss_db(cfg.path_loss_los, dist_g, rng)
@@ -220,7 +226,7 @@ def _irs_links(cfg, user_positions, n_u, rng: np.random.Generator):
     phi = _directional_sine(cfg.ap_xy, cfg.irs_xy, _AP_BROADSIDE)
     az_g = _directional_sine(cfg.irs_xy, cfg.ap_xy, _IRS_BROADSIDE)
     # G = u v^H with the path's scalar on the AP factor u
-    return (np.stack(h_irs), np.sqrt(cfg.M * n) * xi_g * amp_bi * ula_steering(cfg.M, phi),
+    return (h_irs, np.sqrt(cfg.M * n) * xi_g * amp_bi * ula_steering(cfg.M, phi),
             ura_steering(n_az, n_el, az_g, 0.0))
 
 

@@ -92,10 +92,10 @@ class ExperimentSpec:
             problems.append(f"sweep variable {self.sweep_variable!r} not in {SWEEP_VARIABLES}")
         if len(self.grid) == 0:
             problems.append("grid is empty")
-        if self.trials < 1:
-            problems.append(f"trials must be >= 1, got {self.trials}")
-        if self.seed < 0:
-            problems.append(f"seed must be >= 0, got {self.seed}")
+        for key, low in (("trials", 1), ("seed", 0)):  # whole numbers, never truncated
+            n = getattr(self, key)
+            if not (isinstance(n, numbers.Real) and float(n).is_integer() and n >= low):
+                problems.append(f"{key} must be a whole number >= {low}, got {n!r}")
         if len(self.solvers) == 0:
             problems.append("no solvers selected")
         for s in self.solvers:
@@ -126,8 +126,7 @@ class ExperimentSpec:
         try:
             spec = cls(**d)
             return replace(spec, grid=tuple(spec.grid), solvers=tuple(spec.solvers),
-                           base=dict(spec.base), trials=_integer(spec.trials, "trials"),
-                           seed=_integer(spec.seed, "seed"))
+                           base=dict(spec.base))
         except (TypeError, ValueError) as exc:
             raise SpecError(f"malformed spec: {exc}") from exc
 
@@ -272,10 +271,10 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentTable:
     by all solvers; per-trial infeasibility is recorded, not fatal."""
     rows = []
     for value, (cfg, d_spec) in zip(spec.grid, spec.validate()):
-        for trial in range(spec.trials):
+        for trial in range(int(spec.trials)):
             for solver in spec.solvers:
                 rows.append(_run_trial(cfg, d_spec, solver, spec.sweep_variable,
-                                       value, spec.seed, trial))
+                                       value, int(spec.seed), trial))
     rows.sort(key=lambda r: (r.sweep_value, r.solver))
     return ExperimentTable(spec=spec, rows=tuple(rows), aggregates=_aggregate(rows))
 

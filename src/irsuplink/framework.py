@@ -97,7 +97,8 @@ def solve(cfg: SystemConfig, channels: ChannelSet, profile: LatencyProfile,
 def _solve(cfg, channels, profile, fw, rng, mu=None, qbar=None):
     """The AO loop of solve and, on channels = mu reduced through qbar, of
     solve_multi_antenna; returns (qbar, SolverState, ConvergenceTrace). It
-    carries the Gram matrix A of h_eff and the detectors' rows C (F = C h_eff).
+    carries the Gram matrix A of h_eff, the detectors' rows C (F = C h_eff)
+    and mu's channels H_eff at theta, rebuilt only when theta changes.
     """
     fw = fw or FrameworkConfig()
     if rng is None:
@@ -111,7 +112,8 @@ def _solve(cfg, channels, profile, fw, rng, mu=None, qbar=None):
     # solve passes its gate; those powers start the loop. A zero channel
     # leaves a zero, degenerate detector.
     for theta in _initial_theta_candidates(fw.beamformer, n, rng):
-        h_eff, A, C, p = _evaluate(ch, theta, [0.0] * len(Ttilde), Ttilde, noise)
+        h_eff, A, C, p = _evaluate(effective_channel(ch, theta), [0.0] * len(Ttilde), Ttilde,
+                                   noise)
         if p is not None:
             break
     else:
@@ -121,6 +123,7 @@ def _solve(cfg, channels, profile, fw, rng, mu=None, qbar=None):
     # negligible theta / qbar updates in a row: 2 freeze a block; one that cannot run starts at 2
     beam_stale = 0 if fw.beamformer in ("ccmo", "admm") and n > 0 else 2
     tx_stale = 0 if mu is not None and mu.num_user_antennas > 1 else 2
+    H_eff = None
     for t in range(1, MAX_OUTER + 1):
         # p is the exact solve at the current (C, theta), also after an accepted candidate
         C = mvdr_bank(p, A, noise)
@@ -132,16 +135,19 @@ def _solve(cfg, channels, profile, fw, rng, mu=None, qbar=None):
         if p is None:
             raise InfeasibleError("current iterate became infeasible")
         if beam_stale < 2:
-            trial = _evaluate(ch, cand, p, Ttilde, noise)
+            trial = _evaluate(effective_channel(ch, cand), p, Ttilde, noise)
             accept, beam_stale = _gate(trial[3], p, beam_stale)
             if accept:
-                theta, (h_eff, A, C, p) = cand, trial
+                theta, (h_eff, A, C, p), H_eff = cand, trial, None
         if tx_stale < 2:
-            q_cand, ch_cand = _transmit_candidate(mu, theta, detectors(C, h_eff), p, noise)
-            trial = _evaluate(ch_cand, theta, p, Ttilde, noise)
+            if H_eff is None:  # theta is empty when solved without the IRS
+                H_eff = mu.effective_channels(theta) if n else mu.H_direct
+            q = _transmit_candidate(H_eff, detectors(C, h_eff), p, noise)
+            trial = _evaluate(np.einsum("kmu,ku->km", H_eff, q), p, Ttilde, noise)
             accept, tx_stale = _gate(trial[3], p, tx_stale)
             if accept:
-                qbar, ch, (h_eff, A, C, p) = q_cand, ch_cand, trial
+                ch = mu.reduce(q) if n else mu.reduce(q).without_irs()
+                qbar, (h_eff, A, C, p) = q, trial
         s = sum(p.tolist())
         trace.sum_power.append(s)
         trace.outer_iterations = t
@@ -154,10 +160,9 @@ def _solve(cfg, channels, profile, fw, rng, mu=None, qbar=None):
     return qbar, SolverState(p=p, F=detectors(C, h_eff), theta=theta, h_eff=h_eff), trace
 
 
-def _evaluate(ch, theta, p, Ttilde, noise):
-    """(h_eff, A, C, powers) of theta on ch: the effective channel, its Gram matrix, the
-    MVDR bank at the powers p and that bank's exact powers (None if it fails the gate)."""
-    h_eff = effective_channel(ch, theta)
+def _evaluate(h_eff, p, Ttilde, noise):
+    """(h_eff, A, C, powers) of the effective channels h_eff: their Gram matrix, the MVDR
+    bank at the powers p and that bank's exact powers (None if it fails the gate)."""
     A = gram(h_eff)
     C = mvdr_bank(p, A, noise)
     return h_eff, A, C, power_step(Ttilde, C, A, noise)
@@ -197,18 +202,20 @@ def solve_multi_antenna(cfg: SystemConfig, mu_channels: MultiAntennaChannels,
     """
     qbar = np.zeros_like(mu_channels.H_direct[:, 0])  # (K, N_u)
     qbar[:, 0] = 1.0
-    return _solve(cfg, mu_channels.reduce(qbar), profile, fw, rng, mu_channels, qbar)
+    first = ChannelSet(mu_channels.H_direct[..., 0], mu_channels.H_irs[..., 0], mu_channels.u,
+                       mu_channels.v, mu_channels.blockage)
+    return _solve(cfg, first, profile, fw, rng, mu_channels, qbar)
 
 
-def _transmit_candidate(mu, theta, F, p, noise):
-    """Unit transmit beamformers q at the detectors F and powers p, and mu reduced through them.
+def _transmit_candidate(H_eff, F, p, noise):
+    """Unit transmit beamformers q (K, N_u) at the detectors F and powers p on mu's H_eff(theta).
 
     q_k is parallel to R_k^{-1} w[k, k], where w[k, j] = (H_eff,k)^H f_j is
     user k's channel seen by detector j: row k of the MVDR bank over w[k]
-    (Sherman-Morrison). theta is empty when solved without the IRS.
+    (Sherman-Morrison), read off the Gram matrices of all w[k] at once.
     """
-    H_eff = mu.effective_channels(theta) if theta.size else mu.H_direct
     w = np.einsum("kmu,jm->kju", H_eff.conj(), F)
-    q = np.array([detectors(mvdr_bank(p, gram(w_k), noise), w_k)[k] for k, w_k in enumerate(w)])
-    q /= np.linalg.norm(q, axis=1, keepdims=True)
-    return q, mu.reduce(q) if theta.size else mu.reduce(q).without_irs()
+    grams = np.einsum("kiu,kju->kij", w.conj(), w).tolist()
+    rows = [mvdr_bank(p, g, noise)[k] for k, g in enumerate(grams)]
+    q = np.einsum("kj,kju->ku", rows, w)
+    return q / np.linalg.norm(q, axis=1, keepdims=True)

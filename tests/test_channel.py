@@ -350,3 +350,103 @@ class TestVariateStream:
 
 def mu_total_power(mu):
     return sum(np.linalg.norm(mu.H_direct[k]) ** 2 for k in range(mu.H_direct.shape[0]))
+
+
+# Reference sampler: the per-path loop the batched samplers replaced, one
+# steering vector per path and side, kept to check them element for element.
+def _ref_ula(m, direction):
+    idx = np.arange(m) - (m - 1) / 2.0
+    return np.exp(-1j * np.pi * direction * idx) / np.sqrt(m)
+
+
+def _ref_ura(n_az, n_el, az, el):
+    return np.multiply.outer(_ref_ula(n_az, az), _ref_ula(n_el, el)).ravel()
+
+
+def _ref_sine(from_xy, to_xy, broadside):
+    return float(np.sin(np.arctan2(to_xy[1] - from_xy[1], to_xy[0] - from_xy[0]) - broadside))
+
+
+def _ref_path_gain(params, dist, n_u, rng):
+    std = 10.0 ** (-path_loss_db(params, dist, rng) / 20.0)
+    re, im = rng.standard_normal(2)
+    xi = std * (re + 1j * im) / np.sqrt(2.0)
+    return xi, 1.0 if n_u is None else _ref_ula(n_u, rng.uniform(-1.0, 1.0)).conj()
+
+
+def _ref_direct_link(cfg, user_xy, blocked, n_u, rng):
+    m, L = cfg.M, cfg.L
+    dist = float(np.hypot(user_xy[0] - cfg.ap_xy[0], user_xy[1] - cfg.ap_xy[1]))
+    amp = cfg.gain.amp_ap * cfg.gain.amp_user
+    xi, u = _ref_path_gain(cfg.path_loss_los, dist, n_u, rng)
+    h = np.zeros((m,) + np.shape(u), dtype=complex)
+    if not blocked:
+        los_sine = _ref_sine(cfg.ap_xy, user_xy, np.pi / 2.0)
+        h += xi * amp * np.multiply.outer(_ref_ula(m, los_sine), u)
+    for _ in range(L):
+        sine = rng.uniform(-1.0, 1.0)
+        xi, u = _ref_path_gain(cfg.path_loss_nlos, dist, n_u, rng)
+        h += xi * amp * np.multiply.outer(_ref_ula(m, sine), u)
+    return np.sqrt(m * np.size(u) / (L + 1)) * h
+
+
+def _ref_irs_links(cfg, n_u, rng):
+    n_az, n_el = cfg.N_az, cfg.N_el
+    n = n_az * n_el
+    amp_iu = cfg.gain.amp_irs * cfg.gain.amp_user
+    amp_bi = cfg.gain.amp_ap * cfg.gain.amp_irs
+    h_irs = []
+    for xy in cfg.user_xy:
+        dist = float(np.hypot(xy[0] - cfg.irs_xy[0], xy[1] - cfg.irs_xy[1]))
+        xi, u = _ref_path_gain(cfg.path_loss_los, dist, n_u, rng)
+        az = _ref_sine(cfg.irs_xy, xy, np.pi)
+        h_irs.append(np.sqrt(n * np.size(u)) * xi * amp_iu
+                     * np.multiply.outer(_ref_ura(n_az, n_el, az, 0.0), u))
+    dist_g = float(np.hypot(cfg.irs_xy[0] - cfg.ap_xy[0], cfg.irs_xy[1] - cfg.ap_xy[1]))
+    xi_g = _ref_path_gain(cfg.path_loss_los, dist_g, None, rng)[0]
+    phi = _ref_sine(cfg.ap_xy, cfg.irs_xy, np.pi / 2.0)
+    az_g = _ref_sine(cfg.irs_xy, cfg.ap_xy, np.pi)
+    return (np.stack(h_irs), np.sqrt(cfg.M * n) * xi_g * amp_bi * _ref_ula(cfg.M, phi),
+            _ref_ura(n_az, n_el, az_g, 0.0))
+
+
+def _ref_links(cfg, n_u, rng):
+    blocked = np.array([rng.uniform() < cfg.rho_b for _ in range(cfg.K)])
+    direct = np.stack([_ref_direct_link(cfg, cfg.user_xy[k], bool(blocked[k]), n_u, rng)
+                       for k in range(cfg.K)])
+    return (direct, *_ref_irs_links(cfg, n_u, rng), blocked)
+
+
+class TestBatchedSamplerIsExact:
+    """The batched samplers give the reference loop's arrays bit for bit."""
+
+    @pytest.mark.parametrize("L", [0, 3])
+    @pytest.mark.parametrize("n_el", [1, 8])
+    @pytest.mark.parametrize("rho_b", [0.0, 1.0])
+    @pytest.mark.parametrize("K", [1, 2])
+    def test_samplers_equal_the_per_path_loop(self, K, rho_b, n_el, L):
+        for n_u in (None, 1, 2, 4):
+            cfg = SystemConfig(M=8, N_az=4, N_el=n_el, K=K, L=L, rho_b=rho_b, N_u=n_u or 1,
+                               user_xy=((40.0, 40.0), (50.0, -20.0))[:K])
+            sample = sample_channel_set if n_u is None else sample_multi_antenna_channels
+            for seed in range(20):
+                draw = sample(cfg, np.random.default_rng(seed))
+                expected = _ref_links(cfg, n_u, np.random.default_rng(seed))
+                for got, want in zip(vars(draw).values(), expected):
+                    assert got.dtype == want.dtype and got.shape == want.shape
+                    np.testing.assert_array_equal(got, want)
+
+    def test_steering_rows_equal_scalar_calls(self, rng):
+        for m in (1, 2, 5, 32):
+            sines = rng.uniform(-1.0, 1.0, 7)
+            rows = ula_steering(m, sines)
+            assert rows.shape == (7, m)
+            for row, sine in zip(rows, sines):
+                np.testing.assert_array_equal(row, ula_steering(m, float(sine)))
+                np.testing.assert_array_equal(row, _ref_ula(m, float(sine)))
+            for n_el in (1, 3):
+                rows = ura_steering(m, n_el, sines, 0.0)
+                assert rows.shape == (7, m * n_el)
+                for row, sine in zip(rows, sines):
+                    np.testing.assert_array_equal(row, ura_steering(m, n_el, float(sine), 0.0))
+                    np.testing.assert_array_equal(row, _ref_ura(m, n_el, float(sine), 0.0))

@@ -45,6 +45,21 @@ class TestSpec:
         with pytest.raises(SpecError):
             tiny_spec(base={"bogus": 1}).validate()
 
+    @pytest.mark.parametrize("field, value", [("trials", 1.5), ("seed", 2.5),
+                                              ("trials", "3")])
+    def test_validation_rejects_a_count_that_is_not_whole(self, field, value):
+        # a spec built in code does not pass through from_dict
+        spec = ExperimentSpec(name="x", sweep_variable="N", grid=(8,), trials=1,
+                              solvers=("none",))
+        with pytest.raises(SpecError, match=field):
+            dataclasses.replace(spec, **{field: value}).validate()
+
+    def test_whole_float_counts_run_as_integers(self):
+        floats = run_experiment(tiny_spec(trials=2.0, seed=3.0)).rows
+        ints = run_experiment(tiny_spec(trials=2, seed=3)).rows
+        assert len(floats) == 2
+        assert [r.powers_dbm for r in floats] == [r.powers_dbm for r in ints]
+
     def test_malformed_json_rejected(self):
         with pytest.raises(SpecError):
             ExperimentSpec.from_json("{not json")

@@ -225,10 +225,13 @@ class TestGramLoop:
             events.append(effective_channel(ch, cand))
             return cand
 
-        def spy_transmit(mu, theta, *rest):
-            q, ch_cand = transmit(mu, theta, *rest)
-            events.append(effective_channel(ch_cand, theta))
-            return q, ch_cand
+        def spy_transmit(*args):
+            q = transmit(*args)
+            # the candidate's channels built on their own: mu reduced through q, at the
+            # phases fixed-random drew
+            theta = np.exp(1j * np.random.default_rng(0).uniform(0.0, 2.0 * np.pi, ch.v.size))
+            events.append(effective_channel(ch.reduce(q), theta))
+            return q
 
         def spy_gate(trial, p, stale):
             accept, stale = gate(trial, p, stale)
@@ -269,6 +272,30 @@ class TestGramLoop:
             assert trial is not None
             np.testing.assert_allclose(trial, np.linalg.solve(np.eye(2) - Q, tau), rtol=1e-10)
         assert any(accept for _, _, accept in events[1::2])
+
+
+class TestTransmitCandidate:
+    @pytest.mark.parametrize("n_u", [2, 4])
+    def test_direction_is_the_per_user_mvdr_row(self, n_u):
+        # q_k is row k of the MVDR bank over user k's channels w[k, j] = H_eff,k^H f_j,
+        # normalized; the candidate may differ from it by a phase only
+        cfg = small_cfg(K=2, rho_b=1.0, n_u=n_u)
+        noise = cfg.noise_power
+        for seed in range(10):
+            mu = sample_multi_antenna_channels(cfg, np.random.default_rng([seed, 0]))
+            rng = np.random.default_rng([seed, 2])
+            H_eff = mu.effective_channels(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, mu.v.size)))
+            h = H_eff[:, :, 0]
+            p = 10.0 ** rng.uniform(-8.0, -4.0, 2)
+            F = power_detect.detectors(power_detect.mvdr_bank(p, power_detect.gram(h), noise), h)
+            q = framework._transmit_candidate(H_eff, F, p, noise)
+            w = np.einsum("kmu,jm->kju", H_eff.conj(), F)
+            for k in range(2):
+                bank = power_detect.mvdr_bank(p, power_detect.gram(w[k]), noise)
+                ref = power_detect.detectors(bank, w[k])[k]
+                ref /= np.linalg.norm(ref)
+                phase = np.vdot(ref, q[k])
+                np.testing.assert_allclose(q[k], ref * phase / abs(phase), rtol=0, atol=1e-12)
 
 
 class TestGolden:
