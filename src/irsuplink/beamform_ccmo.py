@@ -153,17 +153,10 @@ def run_ccmo(form: QuadraticForm, theta0: np.ndarray, record_path: bool = False)
                       trace=trace, iterations=it, converged=converged, path=path)
 
 
-def optimize_phases(form: QuadraticForm, theta0: np.ndarray, restarts: int = 0,
-                    rng: np.random.Generator | None = None) -> CcmoResult:
-    """run_ccmo from each start in theta0 ((N,) or (S, N), in order), then
-    from `restarts` random starts; the best result wins, ties to the first."""
-    starts = list(np.atleast_2d(theta0))
-    if restarts > 0:
-        if rng is None:
-            rng = np.random.default_rng(0)
-        n = starts[0].size
-        starts += [np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n)) for _ in range(restarts)]
-    return min((run_ccmo(form, start) for start in starts),
+def optimize_phases(form: QuadraticForm, starts) -> CcmoResult:
+    """run_ccmo from each start ((N,) or (S, N), in order); the best result wins, ties to
+    the first. It draws nothing: a solve's random starts come from its caller."""
+    return min((run_ccmo(form, start) for start in np.atleast_2d(starts)),
                key=lambda r: r.descent_value)
 
 

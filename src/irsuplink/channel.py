@@ -19,7 +19,7 @@ Gains in dBi enter the channel amplitudes as 10^(dBi/20).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -98,10 +98,6 @@ class ChannelSet:
     @property
     def num_irs_elements(self) -> int:
         return self.v.size
-
-    def without_irs(self) -> "ChannelSet":
-        """View of the same realization with the IRS absent (N = 0)."""
-        return replace(self, h_irs=self.h_irs[:, :0], v=self.v[:0])
 
 
 @dataclass(frozen=True)

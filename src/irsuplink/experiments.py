@@ -92,10 +92,11 @@ class ExperimentSpec:
             problems.append(f"sweep variable {self.sweep_variable!r} not in {SWEEP_VARIABLES}")
         if len(self.grid) == 0:
             problems.append("grid is empty")
-        for key, low in (("trials", 1), ("seed", 0)):  # whole numbers, never truncated
-            n = getattr(self, key)
-            if not (isinstance(n, numbers.Real) and float(n).is_integer() and n >= low):
-                problems.append(f"{key} must be a whole number >= {low}, got {n!r}")
+        for key, low in (("trials", 1), ("seed", 0)):
+            try:
+                _integer(getattr(self, key), key, low)
+            except SpecError as exc:
+                problems.append(str(exc))
         if len(self.solvers) == 0:
             problems.append("no solvers selected")
         for s in self.solvers:
@@ -163,10 +164,11 @@ class ExperimentTable:
     aggregates: tuple  # (sweep_value, solver, {metric: {stat: value}})
 
 
-def _integer(value, name: str) -> int:
-    """value as an int, or ValueError if it is not a whole number (1.5 is not truncated)."""
-    if not float(value).is_integer():
-        raise ValueError(f"{name} must be a whole number, got {value!r}")
+def _integer(value, name: str, low: int = 0) -> int:
+    """value as an int, or SpecError unless it is a whole number >= low (not 1.5, "8", True)."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Real)
+                                       and float(value).is_integer() and value >= low):
+        raise SpecError(f"{name} must be a whole number >= {low}, got {value!r}")
     return int(value)
 
 

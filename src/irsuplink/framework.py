@@ -72,13 +72,16 @@ class ConvergenceTrace:
     outer_iterations: int = 0
 
 
-def _initial_theta_candidates(beamformer: str, n: int, rng: np.random.Generator):
-    if beamformer == "fixed-random":
-        return [np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n))]
-    # without the IRS (n = 0) a random candidate would repeat the empty ones
-    draws = 3 if n else 0
-    return [np.ones(n, dtype=complex)] + [np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n))
-                                          for _ in range(draws)]
+def _phase_starts(beamformer: str, n: int, rng: np.random.Generator):
+    """(start candidates, CCMO restarts), every random phase vector of a solve in draw
+    order: fixed-random's one start or the 3 that ccmo and admm try after all ones, then
+    ccmo's RESTARTS. none starts with the surface off: theta = 0, so h_eff = h_d exactly."""
+    if beamformer == "none":
+        return [np.zeros(n, dtype=complex)], []
+    draws = [np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n))
+             for _ in range({"fixed-random": 1, "admm": 3, "ccmo": 3 + RESTARTS}[beamformer])]
+    ones = [] if beamformer == "fixed-random" else [np.ones(n, dtype=complex)]
+    return ones + draws[:3], draws[3:]
 
 
 def solve(cfg: SystemConfig, channels: ChannelSet, profile: LatencyProfile,
@@ -94,8 +97,8 @@ def solve(cfg: SystemConfig, channels: ChannelSet, profile: LatencyProfile,
     return _solve(cfg, channels, profile, fw, rng)[1:]
 
 
-def _solve(cfg, channels, profile, fw, rng, mu=None, qbar=None):
-    """The AO loop of solve and, on channels = mu reduced through qbar, of
+def _solve(cfg, ch, profile, fw, rng, mu=None, qbar=None):
+    """The AO loop of solve and, on ch = mu reduced through qbar, of
     solve_multi_antenna; returns (qbar, SolverState, ConvergenceTrace). It
     carries the Gram matrix A of h_eff, the detectors' rows C (F = C h_eff)
     and mu's channels H_eff at theta, rebuilt only when theta changes.
@@ -105,13 +108,12 @@ def _solve(cfg, channels, profile, fw, rng, mu=None, qbar=None):
         rng = np.random.default_rng(0)
     noise = cfg.noise_power
     Ttilde = profile.Ttilde.tolist()
-    ch = channels.without_irs() if fw.beamformer == "none" else channels
-    n = ch.num_irs_elements
+    starts, restarts = _phase_starts(fw.beamformer, ch.num_irs_elements, rng)
 
     # the first candidate whose matched-filter (MVDR at zero power) power
     # solve passes its gate; those powers start the loop. A zero channel
     # leaves a zero, degenerate detector.
-    for theta in _initial_theta_candidates(fw.beamformer, n, rng):
+    for theta in starts:
         h_eff, A, C, p = _evaluate(effective_channel(ch, theta), [0.0] * len(Ttilde), Ttilde,
                                    noise)
         if p is not None:
@@ -121,7 +123,7 @@ def _solve(cfg, channels, profile, fw, rng, mu=None, qbar=None):
 
     trace = ConvergenceTrace()
     # negligible theta / qbar updates in a row: 2 freeze a block; one that cannot run starts at 2
-    beam_stale = 0 if fw.beamformer in ("ccmo", "admm") and n > 0 else 2
+    beam_stale = 0 if fw.beamformer in ("ccmo", "admm") else 2
     tx_stale = 0 if mu is not None and mu.num_user_antennas > 1 else 2
     H_eff = None
     for t in range(1, MAX_OUTER + 1):
@@ -130,7 +132,8 @@ def _solve(cfg, channels, profile, fw, rng, mu=None, qbar=None):
         if beam_stale < 2:
             coeffs = effective_coeffs(ch, detectors(C, h_eff))
             # a phase block that runs at all runs first at t = 1
-            cand = _beamformer_candidate(fw, coeffs, p, Ttilde, noise, theta, t == 1, rng)
+            cand = _beamformer_candidate(fw, coeffs, p, Ttilde, noise, theta,
+                                         restarts if t == 1 else [])
         p = power_step(Ttilde, C, A, noise)
         if p is None:
             raise InfeasibleError("current iterate became infeasible")
@@ -140,14 +143,13 @@ def _solve(cfg, channels, profile, fw, rng, mu=None, qbar=None):
             if accept:
                 theta, (h_eff, A, C, p), H_eff = cand, trial, None
         if tx_stale < 2:
-            if H_eff is None:  # theta is empty when solved without the IRS
-                H_eff = mu.effective_channels(theta) if n else mu.H_direct
+            if H_eff is None:
+                H_eff = mu.effective_channels(theta)
             q = _transmit_candidate(H_eff, detectors(C, h_eff), p, noise)
             trial = _evaluate(np.einsum("kmu,ku->km", H_eff, q), p, Ttilde, noise)
             accept, tx_stale = _gate(trial[3], p, tx_stale)
             if accept:
-                ch = mu.reduce(q) if n else mu.reduce(q).without_irs()
-                qbar, (h_eff, A, C, p) = q, trial
+                ch, qbar, (h_eff, A, C, p) = mu.reduce(q), q, trial
         s = sum(p.tolist())
         trace.sum_power.append(s)
         trace.outer_iterations = t
@@ -177,13 +179,13 @@ def _gate(trial, p, stale):
     return True, stale + 1 if base - sum(trial.tolist()) <= INNER_TOL * base else 0
 
 
-def _beamformer_candidate(fw, coeffs, p, Ttilde, noise, theta, first_call, rng):
-    """One passive-beamforming update; returns the candidate theta."""
+def _beamformer_candidate(fw, coeffs, p, Ttilde, noise, theta, restarts):
+    """One passive-beamforming update; returns the candidate theta. restarts (non-empty
+    only on the first call) are extra CCMO starts, after aligned_phases when K = 1."""
     if fw.beamformer == "ccmo":
         form = assemble_quadratic(coeffs, p, Ttilde, noise)
-        starts = [theta, aligned_phases(coeffs)] if first_call and p.shape[0] == 1 else theta
-        return optimize_phases(form, starts, restarts=RESTARTS if first_call else 0,
-                               rng=rng).theta
+        aligned = [aligned_phases(coeffs)] if restarts and p.shape[0] == 1 else []
+        return optimize_phases(form, [theta, *aligned, *restarts]).theta
     objective = FractionalObjective(coeffs, p, Ttilde, noise)
     return run_admm(objective, theta, max_outer=ADMM_MAX_OUTER,
                     max_inner=ADMM_MAX_INNER, tol_consensus=ADMM_TOL_CONSENSUS).theta

@@ -121,8 +121,8 @@ def effective_channel(ch: ChannelSet, theta: np.ndarray) -> np.ndarray:
 class SolverState:
     """Current (p, F, theta) with the cached effective channels.
 
-    p: (K,) watts. F: (K, M) detector rows f_k. theta: (N,) unit modulus
-    (length 0 when the IRS is absent). h_eff: (K, M).
+    p: (K,) watts. F: (K, M) detector rows f_k. theta: (N,) unit modulus, or
+    all zero for the `none` solver (the surface switched off). h_eff: (K, M).
     """
 
     p: np.ndarray

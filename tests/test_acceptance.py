@@ -205,9 +205,10 @@ def test_criterion_06_ccmo_correctness_and_grid_quality():
 
         vals = residual_sums(coeffs, p, Tt, noise, grid)
         lo, hi = vals.min(), vals.max()
-        best = max(res.residual_value,
-                   optimize_phases(form, np.ones(3, complex), restarts=3,
-                                   rng=np.random.default_rng(31)).residual_value)
+        fresh = np.random.default_rng(31)
+        starts = [np.ones(3, complex)] + [np.exp(1j * fresh.uniform(0.0, 2.0 * np.pi, 3))
+                                          for _ in range(3)]
+        best = max(res.residual_value, optimize_phases(form, starts).residual_value)
         worst_quality = min(worst_quality, (best - lo) / (hi - lo))
     elapsed = time.perf_counter() - start
     ok = fd_ok and tangent_ok and modulus_ok and descent_ok \

@@ -199,8 +199,10 @@ class TestRunCcmo:
         for _ in range(5):
             form, (coeffs, p, Tt) = random_form(rng, K=2, N=3)
             vals = residual_sums(coeffs, p, Tt, 1.0, grid)
-            res = optimize_phases(form, np.ones(3, complex), restarts=3,
-                                  rng=np.random.default_rng(5))
+            fresh = np.random.default_rng(5)
+            starts = [np.ones(3, complex)] + [np.exp(1j * fresh.uniform(0.0, 2.0 * np.pi, 3))
+                                              for _ in range(3)]
+            res = optimize_phases(form, starts)
             lo, hi = vals.min(), vals.max()
             assert hi > lo
             assert (res.residual_value - lo) / (hi - lo) >= 0.95

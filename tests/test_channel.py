@@ -231,13 +231,6 @@ class TestChannelSet:
         # monotone coupling: blocked at 0.5 implies blocked at 1.0
         assert (not blocked[1]) or blocked[2]
 
-    def test_without_irs_view(self, rng):
-        cfg = cfg_for()
-        ch = sample_channel_set(cfg, rng)
-        bare = ch.without_irs()
-        assert bare.num_irs_elements == 0
-        np.testing.assert_array_equal(bare.h_direct, ch.h_direct)
-
 
 class TestMultiAntenna:
     def test_single_antenna_matches_simo_model_shape(self):

@@ -46,12 +46,16 @@ class TestSpec:
             tiny_spec(base={"bogus": 1}).validate()
 
     @pytest.mark.parametrize("field, value", [("trials", 1.5), ("seed", 2.5),
-                                              ("trials", "3")])
+                                              ("trials", "3"), ("trials", True),
+                                              ("base", {"M": "8", "L": "2"}),
+                                              ("base", {"K": "2"}), ("base", {"L": True})])
     def test_validation_rejects_a_count_that_is_not_whole(self, field, value):
-        # a spec built in code does not pass through from_dict
+        # a spec built in code does not pass through from_dict; strings and
+        # booleans are not whole numbers
         spec = ExperimentSpec(name="x", sweep_variable="N", grid=(8,), trials=1,
                               solvers=("none",))
-        with pytest.raises(SpecError, match=field):
+        name = next(iter(value)) if field == "base" else field
+        with pytest.raises(SpecError, match=f"{name} must be a whole number"):
             dataclasses.replace(spec, **{field: value}).validate()
 
     def test_whole_float_counts_run_as_integers(self):
@@ -148,7 +152,7 @@ class TestRunExperiment:
         _, _, metrics = table.aggregates[0]
         assert metrics["feasible"]["mean"] == 0.0
 
-    def test_multi_antenna_preset_without_irs(self):
+    def test_multi_antenna_preset_no_irs(self):
         spec = dataclasses.replace(scenario_default()["multi-antenna"], trials=1,
                                    grid=(2,), solvers=("none",))
         table = run_experiment(spec)

@@ -41,7 +41,9 @@ class TestSolveBasics:
         expect = cfg.noise_power * prof.Ttilde[0] / np.linalg.norm(ch.h_direct[0]) ** 2
         assert st.p[0] == pytest.approx(expect, rel=1e-8)
         assert tr.converged
-        assert st.theta.size == 0
+        # the surface is switched off: theta = 0 and h_eff = h_d exactly
+        assert not np.any(st.theta)
+        np.testing.assert_array_equal(st.h_eff, ch.h_direct)
 
     def test_latency_met_and_tight_at_return(self):
         cfg = small_cfg(K=2, rho_b=0.5)
@@ -199,7 +201,7 @@ class TestGramLoop:
         assert counts["gram"] == counts["channel"]
 
     def test_no_irs_tries_its_one_candidate_once(self, monkeypatch):
-        # without the IRS every phase candidate is the same empty vector, so an
+        # without the IRS the one start is the surface switched off, so an
         # infeasible start is decided by one gate
         cfg = small_cfg(K=2, rho_b=0.5)
         ch, _ = draw(cfg, 3)
@@ -333,6 +335,38 @@ class TestGolden:
         assert tr.outer_iterations == 2
 
 
+class TestRandomStarts:
+    """A feasible solve advances its rng by exactly its phase draws of length N:
+    3 + RESTARTS for ccmo, 3 for admm, 1 for fixed-random and none for none."""
+
+    DRAWS = {"ccmo": 3 + framework.RESTARTS, "admm": 3, "fixed-random": 1, "none": 0}
+
+    @staticmethod
+    def assert_advanced(rng, draws, n):
+        fresh = np.random.default_rng(0)
+        for _ in range(draws):
+            fresh.uniform(0.0, 2.0 * np.pi, n)
+        assert rng.uniform() == fresh.uniform()
+
+    @pytest.mark.parametrize("solver", ["ccmo", "admm", "fixed-random", "none"])
+    @pytest.mark.parametrize("K", [1, 2])
+    def test_solve(self, K, solver):
+        cfg = small_cfg(K=K, rho_b=1.0)
+        ch, prof = draw(cfg, 3)
+        rng = np.random.default_rng(0)
+        solve(cfg, ch, prof, FrameworkConfig(beamformer=solver), rng)
+        self.assert_advanced(rng, self.DRAWS[solver], cfg.N)
+
+    def test_solve_multi_antenna(self):
+        cfg = small_cfg(K=2, rho_b=1.0, n_u=2)
+        mu = sample_multi_antenna_channels(cfg, np.random.default_rng([8, 0]))
+        prof = LatencyProfile.from_data(
+            np.random.default_rng([8, 1]).uniform(5000, 8000, 2), cfg.W, cfg.T)
+        rng = np.random.default_rng(0)
+        solve_multi_antenna(cfg, mu, prof, FrameworkConfig(beamformer="ccmo"), rng)
+        self.assert_advanced(rng, self.DRAWS["ccmo"], cfg.N)
+
+
 class TestMultiAntenna:
     def test_single_antenna_reduces_exactly(self):
         cfg = small_cfg(K=2, rho_b=0.5, n_u=1)
@@ -361,16 +395,15 @@ class TestMultiAntenna:
             assert np.linalg.norm(qbar[k]) == pytest.approx(1.0, abs=1e-12)
 
     def test_no_irs_solver_with_multi_antenna_users(self):
-        # the empty theta of a solve without the IRS must not meet H_irs
+        # with the surface switched off (theta = 0) H_eff is H_d exactly
         cfg = small_cfg(K=2, rho_b=1.0, n_u=2)
         mu = sample_multi_antenna_channels(cfg, np.random.default_rng([8, 0]))
         prof = LatencyProfile.from_data(
             np.random.default_rng([8, 1]).uniform(5000, 8000, 2), cfg.W, cfg.T)
         qbar, st, _ = solve_multi_antenna(cfg, mu, prof, FrameworkConfig(beamformer="none"),
                                           np.random.default_rng(0))
-        assert st.theta.size == 0
-        direct = np.einsum("kmu,ku->km", mu.H_direct, qbar)
-        np.testing.assert_allclose(st.h_eff, direct, rtol=1e-12)
+        assert not np.any(st.theta)
+        np.testing.assert_array_equal(st.h_eff, np.einsum("kmu,ku->km", mu.H_direct, qbar))
         for k in range(2):
             assert np.linalg.norm(qbar[k]) == pytest.approx(1.0, abs=1e-12)
 

@@ -65,10 +65,10 @@ class TestSystemConfigValidation:
 
 
 class TestEffectiveChannel:
-    def test_without_irs_returns_direct(self, rng):
-        ch = random_channel_set(rng, K=2, M=4, N=3).without_irs()
-        h = effective_channel(ch, np.zeros(0, complex))
-        np.testing.assert_allclose(h, ch.h_direct)
+    def test_surface_off_returns_direct(self, rng):
+        # theta = 0 adds only zeros: the direct channels, exactly
+        ch = random_channel_set(rng, K=2, M=4, N=3)
+        np.testing.assert_array_equal(effective_channel(ch, np.zeros(3, complex)), ch.h_direct)
 
     def test_matches_explicit_diag(self, rng):
         ch = random_channel_set(rng, K=2, M=4, N=5)
