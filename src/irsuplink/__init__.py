@@ -52,7 +52,6 @@ from .beamform_ccmo import (
     run_ccmo,
 )
 from .framework import (
-    FrameworkConfig,
     solve,
     solve_multi_antenna,
 )

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, asdict, replace
 import numpy as np
 
 from .channel import GainParams, sample_channel_set, sample_multi_antenna_channels
-from .framework import SOLVERS, FrameworkConfig, solve, solve_multi_antenna
+from .framework import SOLVERS, solve, solve_multi_antenna
 from .power_detect import InfeasibleError
 from .system import LatencyProfile, SystemConfig, latency, sinr, watts_to_dbm
 
@@ -106,8 +106,10 @@ class ExperimentSpec:
             if key not in BASE_DEFAULTS:
                 problems.append(f"unknown base parameter {key!r}")
         for value in self.grid:
-            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
-                problems.append(f"grid value {value!r} is not a finite number")
+            try:
+                _real(value, "grid value")
+            except SpecError as exc:
+                problems.append(str(exc))
         if problems:
             raise SpecError("; ".join(problems))
         try:
@@ -166,10 +168,19 @@ class ExperimentTable:
 
 def _integer(value, name: str, low: int = 0) -> int:
     """value as an int, or SpecError unless it is a whole number >= low (not 1.5, "8", True)."""
-    if isinstance(value, bool) or not (isinstance(value, numbers.Real)
+    # int and float, listed first, pass without numbers.Real's slower ABC check
+    if isinstance(value, bool) or not (isinstance(value, (int, float, numbers.Real))
                                        and float(value).is_integer() and value >= low):
         raise SpecError(f"{name} must be a whole number >= {low}, got {value!r}")
     return int(value)
+
+
+def _real(value, name: str) -> float:
+    """value as a float, or SpecError unless it is a finite real number (not inf, "8", True)."""
+    if isinstance(value, bool) or not (isinstance(value, (int, float, numbers.Real))
+                                       and math.isfinite(value)):
+        raise SpecError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def _factor_elements(n: int, n_az: int) -> tuple[int, int]:
@@ -183,8 +194,10 @@ def _build_config(base: dict, variable: str, value) -> tuple[SystemConfig, tuple
     params = {**BASE_DEFAULTS, **base}
     if variable in SWEEP_KEYS:
         params[SWEEP_KEYS[variable]] = value
-    users = ((float(params["d_x1"]), float(params["d_y1"])),
-             (float(params["d_x2"]), -float(params["d_y2"])))
+    reals = {key: _real(params[key], key) for key in (
+        "W_hz", "T_s", "noise_dbm", "nu_db", "rho_U_dbi", "rho_B_dbi", "rho_b",
+        "d_x1", "d_y1", "d_x2", "d_y2")}
+    users = ((reals["d_x1"], reals["d_y1"]), (reals["d_x2"], -reals["d_y2"]))
     counts = {key: _integer(params[key], key) for key in ("M", "N_az", "N_el", "K", "L", "N_u")}
     if variable == "N":  # after the base counts are checked, so a base N_el of 1.6 is an error
         counts["N_az"], counts["N_el"] = _factor_elements(_integer(value, "N"), counts["N_az"])
@@ -192,14 +205,13 @@ def _build_config(base: dict, variable: str, value) -> tuple[SystemConfig, tuple
         raise SpecError(f"base geometry defines positions for up to 2 users, got K={counts['K']}")
     return SystemConfig(
         **counts,
-        W=float(params["W_hz"]),
-        T=float(params["T_s"]),
-        noise_power=10.0 ** ((params["noise_dbm"] - 30.0) / 10.0),
-        gain=GainParams(rho_U=float(params["rho_U_dbi"]), rho_B=float(params["rho_B_dbi"]),
-                        nu=float(params["nu_db"])),
-        rho_b=float(params["rho_b"]),
-        ap_xy=tuple(map(float, params["ap_xy"])),
-        irs_xy=tuple(map(float, params["irs_xy"])),
+        W=reals["W_hz"],
+        T=reals["T_s"],
+        noise_power=10.0 ** ((reals["noise_dbm"] - 30.0) / 10.0),
+        gain=GainParams(rho_U=reals["rho_U_dbi"], rho_B=reals["rho_B_dbi"], nu=reals["nu_db"]),
+        rho_b=reals["rho_b"],
+        ap_xy=tuple(_real(x, "ap_xy") for x in params["ap_xy"]),
+        irs_xy=tuple(_real(x, "irs_xy") for x in params["irs_xy"]),
         user_xy=users[:counts["K"]],
     ), _data_size_range(params["D_nats"])
 
@@ -207,8 +219,8 @@ def _build_config(base: dict, variable: str, value) -> tuple[SystemConfig, tuple
 def _data_size_range(d) -> tuple[float, float]:
     """D_nats as a pair 0 <= lo <= hi to draw each user's size from; a scalar d is (d, d),
     which draws d exactly from as many variates as a range, so the streams stay paired."""
-    bounds = tuple(map(float, d)) if isinstance(d, (list, tuple)) else (float(d),) * 2
-    if len(bounds) != 2 or not 0.0 <= bounds[0] <= bounds[1] < math.inf:
+    bounds = tuple(_real(x, "D_nats") for x in (d if isinstance(d, (list, tuple)) else (d, d)))
+    if len(bounds) != 2 or not 0.0 <= bounds[0] <= bounds[1]:
         raise ValueError(f"D_nats must be a finite size >= 0 or a pair 0 <= lo <= hi, got {d!r}")
     return bounds
 
@@ -220,15 +232,14 @@ def _run_trial(cfg: SystemConfig, d_spec, solver: str, sweep_variable: str,
     rng_solver = np.random.default_rng([seed, trial, 2, _SOLVER_INDEX[solver]])
     D = rng_data.uniform(*d_spec, size=cfg.K)
     profile = LatencyProfile.from_data(D, cfg.W, cfg.T)
-    fw = FrameworkConfig(beamformer=solver)
     start = time.perf_counter()
     try:
         if sweep_variable == "N_u" or cfg.N_u > 1:
             channels = sample_multi_antenna_channels(cfg, rng_channel)
-            _, state, trace = solve_multi_antenna(cfg, channels, profile, fw, rng_solver)
+            _, state, trace = solve_multi_antenna(cfg, channels, profile, solver, rng_solver)
         else:
             channels = sample_channel_set(cfg, rng_channel)
-            state, trace = solve(cfg, channels, profile, fw, rng_solver)
+            state, trace = solve(cfg, channels, profile, solver, rng_solver)
     except InfeasibleError:
         wall = (time.perf_counter() - start) * 1e3
         nan_k = (math.nan,) * cfg.K

@@ -36,7 +36,6 @@ from .system import (
 )
 
 __all__ = [
-    "FrameworkConfig",
     "ConvergenceTrace",
     "solve",
     "solve_multi_antenna",
@@ -51,15 +50,6 @@ RESTARTS = 3  # random CCMO starts on the first phase update
 ADMM_MAX_OUTER = 6
 ADMM_MAX_INNER = 60
 ADMM_TOL_CONSENSUS = 1e-3
-
-
-@dataclass(frozen=True)
-class FrameworkConfig:
-    beamformer: str = "ccmo"
-
-    def __post_init__(self):
-        if self.beamformer not in SOLVERS:
-            raise ValueError(f"unknown beamformer {self.beamformer!r}, pick one of {SOLVERS}")
 
 
 @dataclass
@@ -85,8 +75,8 @@ def _phase_starts(beamformer: str, n: int, rng: np.random.Generator):
 
 
 def solve(cfg: SystemConfig, channels: ChannelSet, profile: LatencyProfile,
-          fw: FrameworkConfig | None = None, rng: np.random.Generator | None = None):
-    """Minimize the total uplink power subject to per-user deadlines.
+          beamformer: str, rng: np.random.Generator | None = None):
+    """Minimize the total uplink power under per-user deadlines with beamformer, one of SOLVERS.
 
     Returns (SolverState, ConvergenceTrace). Raises InfeasibleError when no
     initial phase candidate (drawn from rng) passes the gate, or when the
@@ -94,21 +84,22 @@ def solve(cfg: SystemConfig, channels: ChannelSet, profile: LatencyProfile,
     update. The loop stops the first time the total power changes by at
     most OUTER_TOL relative between two AO iterations.
     """
-    return _solve(cfg, channels, profile, fw, rng)[1:]
+    return _solve(cfg, channels, profile, beamformer, rng)[1:]
 
 
-def _solve(cfg, ch, profile, fw, rng, mu=None, qbar=None):
+def _solve(cfg, ch, profile, beamformer, rng, mu=None, qbar=None):
     """The AO loop of solve and, on ch = mu reduced through qbar, of
     solve_multi_antenna; returns (qbar, SolverState, ConvergenceTrace). It
     carries the Gram matrix A of h_eff, the detectors' rows C (F = C h_eff)
     and mu's channels H_eff at theta, rebuilt only when theta changes.
     """
-    fw = fw or FrameworkConfig()
+    if beamformer not in SOLVERS:
+        raise ValueError(f"unknown beamformer {beamformer!r}, pick one of {SOLVERS}")
     if rng is None:
         rng = np.random.default_rng(0)
     noise = cfg.noise_power
     Ttilde = profile.Ttilde.tolist()
-    starts, restarts = _phase_starts(fw.beamformer, ch.num_irs_elements, rng)
+    starts, restarts = _phase_starts(beamformer, ch.num_irs_elements, rng)
 
     # the first candidate whose matched-filter (MVDR at zero power) power
     # solve passes its gate; those powers start the loop. A zero channel
@@ -123,7 +114,7 @@ def _solve(cfg, ch, profile, fw, rng, mu=None, qbar=None):
 
     trace = ConvergenceTrace()
     # negligible theta / qbar updates in a row: 2 freeze a block; one that cannot run starts at 2
-    beam_stale = 0 if fw.beamformer in ("ccmo", "admm") else 2
+    beam_stale = 0 if beamformer in ("ccmo", "admm") else 2
     tx_stale = 0 if mu is not None and mu.num_user_antennas > 1 else 2
     H_eff = None
     for t in range(1, MAX_OUTER + 1):
@@ -132,7 +123,7 @@ def _solve(cfg, ch, profile, fw, rng, mu=None, qbar=None):
         if beam_stale < 2:
             coeffs = effective_coeffs(ch, detectors(C, h_eff))
             # a phase block that runs at all runs first at t = 1
-            cand = _beamformer_candidate(fw, coeffs, p, Ttilde, noise, theta,
+            cand = _beamformer_candidate(beamformer, coeffs, p, Ttilde, noise, theta,
                                          restarts if t == 1 else [])
         p = power_step(Ttilde, C, A, noise)
         if p is None:
@@ -179,10 +170,10 @@ def _gate(trial, p, stale):
     return True, stale + 1 if base - sum(trial.tolist()) <= INNER_TOL * base else 0
 
 
-def _beamformer_candidate(fw, coeffs, p, Ttilde, noise, theta, restarts):
+def _beamformer_candidate(beamformer, coeffs, p, Ttilde, noise, theta, restarts):
     """One passive-beamforming update; returns the candidate theta. restarts (non-empty
     only on the first call) are extra CCMO starts, after aligned_phases when K = 1."""
-    if fw.beamformer == "ccmo":
+    if beamformer == "ccmo":
         form = assemble_quadratic(coeffs, p, Ttilde, noise)
         aligned = [aligned_phases(coeffs)] if restarts and p.shape[0] == 1 else []
         return optimize_phases(form, [theta, *aligned, *restarts]).theta
@@ -192,7 +183,7 @@ def _beamformer_candidate(fw, coeffs, p, Ttilde, noise, theta, restarts):
 
 
 def solve_multi_antenna(cfg: SystemConfig, mu_channels: MultiAntennaChannels,
-                        profile: LatencyProfile, fw: FrameworkConfig | None = None,
+                        profile: LatencyProfile, beamformer: str,
                         rng: np.random.Generator | None = None):
     """Multi-antenna users: the single-antenna AO loop on the reduced
     channels H q_bar, with the transmit beamformers q_bar as one more
@@ -206,7 +197,7 @@ def solve_multi_antenna(cfg: SystemConfig, mu_channels: MultiAntennaChannels,
     qbar[:, 0] = 1.0
     first = ChannelSet(mu_channels.H_direct[..., 0], mu_channels.H_irs[..., 0], mu_channels.u,
                        mu_channels.v, mu_channels.blockage)
-    return _solve(cfg, first, profile, fw, rng, mu_channels, qbar)
+    return _solve(cfg, first, profile, beamformer, rng, mu_channels, qbar)
 
 
 def _transmit_candidate(H_eff, F, p, noise):

@@ -77,6 +77,11 @@ class SystemConfig:
         positions = (self.ap_xy, self.irs_xy, *self.user_xy)
         if any(len(xy) != 2 for xy in positions):
             raise ValueError(f"positions must be (x, y) pairs, got {positions}")
+        # the sampler draws path loss over the AP-IRS link and each user's links to both
+        ends = (self.ap_xy, self.irs_xy)
+        if math.dist(*ends) == 0 or any(math.dist(xy, e) == 0 for xy in self.user_xy for e in ends):
+            raise ValueError(f"the AP and the IRS must be apart and no user may sit on either, "
+                             f"got {positions}")
 
     @property
     def N(self) -> int:

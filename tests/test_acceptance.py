@@ -12,7 +12,6 @@ import pytest
 from irsuplink import (
     ExperimentSpec,
     FractionalObjective,
-    FrameworkConfig,
     InfeasibleError,
     LatencyProfile,
     SystemConfig,
@@ -265,11 +264,10 @@ def test_criterion_08_framework_monotone_total_power():
             try:
                 if kind == "single":
                     ch = sample_channel_set(cfg, rng_channel)
-                    traces = [solve(cfg, ch, prof, FrameworkConfig(beamformer=b),
-                                    np.random.default_rng(0))[1] for b in solvers]
+                    traces = [solve(cfg, ch, prof, b, np.random.default_rng(0))[1] for b in solvers]
                 else:
                     mu = sample_multi_antenna_channels(cfg, rng_channel)
-                    results = [solve_multi_antenna(cfg, mu, prof, FrameworkConfig(beamformer=b),
+                    results = [solve_multi_antenna(cfg, mu, prof, b,
                                                    np.random.default_rng(0)) for b in solvers]
                     traces = [tr for _, _, tr in results]
                     transmit_updates += sum(bool(np.any(q[:, 1])) for q, _, _ in results)
@@ -373,12 +371,9 @@ def test_criterion_11_multi_antenna_reduction():
         mu = sample_multi_antenna_channels(cfg, np.random.default_rng([seed, 0]))
         D = np.random.default_rng([seed, 1]).uniform(5000, 8000, 2)
         prof = LatencyProfile.from_data(D, cfg.W, cfg.T)
-        qbar, st_mu, _ = solve_multi_antenna(cfg, mu, prof,
-                                             FrameworkConfig(beamformer="ccmo"),
-                                             np.random.default_rng(0))
+        qbar, st_mu, _ = solve_multi_antenna(cfg, mu, prof, "ccmo", np.random.default_rng(0))
         ch = mu.reduce(np.ones((2, 1), complex))
-        st, _ = solve(cfg, ch, prof, FrameworkConfig(beamformer="ccmo"),
-                      np.random.default_rng(0))
+        st, _ = solve(cfg, ch, prof, "ccmo", np.random.default_rng(0))
         worst = max(worst, float(np.max(np.abs(st_mu.p - st.p) / st.p)))
         worst = max(worst, float(np.max(np.abs(st_mu.theta - st.theta))))
         for k in range(2):

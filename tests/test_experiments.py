@@ -192,7 +192,7 @@ class TestSweepVariables:
 
     def test_base_n_u_solves_multi_antenna(self):
         # a base N_u above 1 takes the multi-antenna path at every grid point
-        from irsuplink import (FrameworkConfig, LatencyProfile, sample_multi_antenna_channels,
+        from irsuplink import (LatencyProfile, sample_multi_antenna_channels,
                                solve_multi_antenna, watts_to_dbm)
         from irsuplink.experiments import _SOLVER_INDEX
 
@@ -205,8 +205,7 @@ class TestSweepVariables:
             mu = sample_multi_antenna_channels(cfg, np.random.default_rng([spec.seed, trial, 0]))
             D = np.random.default_rng([spec.seed, trial, 1]).uniform(*d_spec, size=cfg.K)
             _, st, _ = solve_multi_antenna(
-                cfg, mu, LatencyProfile.from_data(D, cfg.W, cfg.T),
-                FrameworkConfig(beamformer="fixed-random"),
+                cfg, mu, LatencyProfile.from_data(D, cfg.W, cfg.T), "fixed-random",
                 np.random.default_rng([spec.seed, trial, 2, _SOLVER_INDEX["fixed-random"]]))
             assert row.powers_dbm == tuple(float(x) for x in watts_to_dbm(st.p))
 
@@ -305,11 +304,27 @@ class TestCli:
         # grid points and data sizes are finite
         ("d_x1", math.nan, {}, {}),
         ("N", 8, {"D_nats": math.inf}, {}),
+        # base numbers are finite and never booleans
+        ("N", 8, {"W_hz": math.inf}, {}),
+        ("N", 8, {"noise_dbm": math.nan}, {}),
+        ("N", 8, {"nu_db": math.nan}, {}),
+        ("N", 8, {"d_x1": math.nan}, {}),
+        ("N", 8, {"ap_xy": [math.nan, 0.0]}, {}),
+        ("N", 8, {"rho_U_dbi": math.inf}, {}),
+        ("N", 8, {"d_y1": math.inf}, {}),
+        ("N", 8, {"noise_dbm": True}, {}),
+        ("rho_b", True, {}, {}),
+        ("N", 8, {"D_nats": True}, {}),
+        # the sampler draws path loss over every AP-IRS, user-AP and user-IRS link
+        ("N", 8, {"d_x1": 0.0, "d_y1": 0.0}, {}),
+        ("N", 8, {"irs_xy": [0.0, 0.0]}, {}),
     ], ids=["rho_b-1.5", "N-0", "D_nats-triple", "D_nats-reversed", "D_nats-text",
             "D_nats-negative", "D--5", "N-8.5", "N_u-1.5", "M-1.6", "N_az-1.6", "N_el-1.6",
             "K-1.6", "L-1.6", "base-N_u-1.6", "trials-1.9", "seed-3.7", "ap_xy-single",
             "irs_xy-triple", "user_xy-list", "top-trails", "N-sweep-N_el-1.6", "D-pair", "d_x1-nan",
-            "D_nats-inf"])
+            "D_nats-inf", "W_hz-inf", "noise_dbm-nan", "nu_db-nan", "base-d_x1-nan", "ap_xy-nan",
+            "rho_U_dbi-inf", "d_y1-inf", "noise_dbm-true", "rho_b-true", "D_nats-true",
+            "user-at-ap", "irs-at-ap"])
     def test_out_of_range_grid_value_is_spec_error(self, tmp_path, capsys, command,
                                                    variable, value, base, top):
         out = tmp_path / "x.csv"

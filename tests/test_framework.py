@@ -4,7 +4,6 @@ import pytest
 from irsuplink import framework, power_detect
 from irsuplink import (
     ExperimentSpec,
-    FrameworkConfig,
     InfeasibleError,
     LatencyProfile,
     SystemConfig,
@@ -36,7 +35,7 @@ class TestSolveBasics:
     def test_single_user_no_irs_closed_form(self):
         cfg = small_cfg(K=1, rho_b=0.0)
         ch, prof = draw(cfg, 11)
-        st, tr = solve(cfg, ch, prof, FrameworkConfig(beamformer="none"))
+        st, tr = solve(cfg, ch, prof, "none")
         # K=1 MVDR is the matched filter: p = sigma^2 T~ / ||h||^2
         expect = cfg.noise_power * prof.Ttilde[0] / np.linalg.norm(ch.h_direct[0]) ** 2
         assert st.p[0] == pytest.approx(expect, rel=1e-8)
@@ -49,8 +48,7 @@ class TestSolveBasics:
         cfg = small_cfg(K=2, rho_b=0.5)
         for seed in range(6):
             ch, prof = draw(cfg, seed)
-            st, tr = solve(cfg, ch, prof, FrameworkConfig(beamformer="ccmo"),
-                           np.random.default_rng(0))
+            st, tr = solve(cfg, ch, prof, "ccmo", np.random.default_rng(0))
             for k in range(cfg.K):
                 assert latency(st, cfg, prof, k) <= cfg.T * (1 + 1e-6)
                 ratio = sinr(st, cfg.noise_power, k) / prof.Ttilde[k]
@@ -65,8 +63,7 @@ class TestSolveBasics:
                 ch, prof = draw(cfg, seed)
                 seed += 1
                 try:
-                    _, tr = solve(cfg, ch, prof, FrameworkConfig(beamformer=solver),
-                                  np.random.default_rng(0))
+                    _, tr = solve(cfg, ch, prof, solver, np.random.default_rng(0))
                 except InfeasibleError:
                     continue
                 sp = np.asarray(tr.sum_power)
@@ -80,10 +77,8 @@ class TestSolveBasics:
         for seed in range(20):
             ch, prof = draw(cfg, seed)
             try:
-                st_c, _ = solve(cfg, ch, prof, FrameworkConfig(beamformer="ccmo"),
-                                np.random.default_rng(0))
-                st_n, _ = solve(cfg, ch, prof, FrameworkConfig(beamformer="none"),
-                                np.random.default_rng(0))
+                st_c, _ = solve(cfg, ch, prof, "ccmo", np.random.default_rng(0))
+                st_n, _ = solve(cfg, ch, prof, "none", np.random.default_rng(0))
             except InfeasibleError:
                 continue
             total += 1
@@ -96,8 +91,7 @@ class TestSolveBasics:
         ch, prof = draw(cfg, 3)
         runs = []
         for _ in range(2):
-            st, tr = solve(cfg, ch, prof, FrameworkConfig(beamformer="ccmo"),
-                           np.random.default_rng(42))
+            st, tr = solve(cfg, ch, prof, "ccmo", np.random.default_rng(42))
             runs.append((st, tuple(tr.sum_power)))
         np.testing.assert_array_equal(runs[0][0].p, runs[1][0].p)
         np.testing.assert_array_equal(runs[0][0].theta, runs[1][0].theta)
@@ -106,16 +100,22 @@ class TestSolveBasics:
     def test_fixed_random_baseline_holds_phases(self):
         cfg = small_cfg(K=1, rho_b=1.0)
         ch, prof = draw(cfg, 5)
-        st, _ = solve(cfg, ch, prof, FrameworkConfig(beamformer="fixed-random"),
-                      np.random.default_rng(9))
+        st, _ = solve(cfg, ch, prof, "fixed-random", np.random.default_rng(9))
         assert np.max(np.abs(np.abs(st.theta) - 1.0)) < 1e-12
         # the drawn phases are exactly the first gate candidate of the rng
         expect = np.exp(1j * np.random.default_rng(9).uniform(0, 2 * np.pi, cfg.N))
         np.testing.assert_array_equal(st.theta, expect)
 
     def test_unknown_beamformer_rejected(self):
-        with pytest.raises(ValueError):
-            FrameworkConfig(beamformer="sdr")
+        # the name is checked before anything is drawn from rng
+        cfg = small_cfg(K=1, n_u=1)
+        ch, prof = draw(cfg, 0)
+        mu = sample_multi_antenna_channels(cfg, np.random.default_rng([0, 0]))
+        for run, channels in ((solve, ch), (solve_multi_antenna, mu)):
+            rng = np.random.default_rng(5)
+            with pytest.raises(ValueError, match=r"unknown beamformer 'sdr', pick one of \("):
+                run(cfg, channels, prof, "sdr", rng)
+            assert rng.uniform() == np.random.default_rng(5).uniform()
 
 
 def counting(counts, key, fn):
@@ -141,7 +141,7 @@ class TestOneGatePerQ:
                             raising=False)
         monkeypatch.setattr(power_detect, "solve_power_fixed_point",
                             counting(counts, "fixed_point", power_detect.solve_power_fixed_point))
-        solve(cfg, ch, prof, FrameworkConfig(beamformer=solver), np.random.default_rng(0))
+        solve(cfg, ch, prof, solver, np.random.default_rng(0))
         assert counts["fixed_point"] > 0
         assert counts["direct"] == 0
         assert counts["own"] == 0  # the solve gates on its pivots, not on eigenvalues
@@ -157,7 +157,7 @@ class TestOneGatePerQ:
         monkeypatch.setattr(power_detect, "solve_power_fixed_point",
                             counting(counts, "solve", power_detect.solve_power_fixed_point))
         monkeypatch.setattr(framework, "mvdr_bank", counting(counts, "mvdr", framework.mvdr_bank))
-        solve(cfg, ch, prof, FrameworkConfig(beamformer=solver), np.random.default_rng(0))
+        solve(cfg, ch, prof, solver, np.random.default_rng(0))
         assert counts["mvdr"] > 1
         assert counts["solve"] == counts["mvdr"]
 
@@ -179,7 +179,7 @@ class TestDegenerateIterate:
         cfg = small_cfg(K=1, rho_b=0.0)
         ch, prof = draw(cfg, 11)
         with pytest.raises(InfeasibleError):
-            solve(cfg, ch, prof, FrameworkConfig(beamformer="none"))
+            solve(cfg, ch, prof, "none")
         calls.clear()
         spec = ExperimentSpec(name="degenerate", sweep_variable="N", grid=(8,), trials=1,
                               seed=5, solvers=("none",), base={"M": 8, "N_az": 4, "N_el": 2})
@@ -196,7 +196,7 @@ class TestGramLoop:
         monkeypatch.setattr(framework, "gram", counting(counts, "gram", framework.gram))
         monkeypatch.setattr(framework, "effective_channel",
                             counting(counts, "channel", framework.effective_channel))
-        solve(cfg, ch, prof, FrameworkConfig(beamformer=solver), np.random.default_rng(0))
+        solve(cfg, ch, prof, solver, np.random.default_rng(0))
         assert counts["channel"] > 0
         assert counts["gram"] == counts["channel"]
 
@@ -210,7 +210,7 @@ class TestGramLoop:
         monkeypatch.setattr(framework, "effective_channel",
                             counting(counts, "channel", framework.effective_channel))
         with pytest.raises(InfeasibleError):
-            solve(cfg, ch, prof, FrameworkConfig(beamformer="none"))
+            solve(cfg, ch, prof, "none")
         assert counts["channel"] == 1
 
     @pytest.mark.parametrize("solver", ["ccmo", "admm", "fixed-random"])
@@ -222,8 +222,8 @@ class TestGramLoop:
         phase, transmit, gate = (framework._beamformer_candidate, framework._transmit_candidate,
                                  framework._gate)
 
-        def spy_phase(fw, coeffs, p, Ttilde, noise, theta, *rest):
-            cand = phase(fw, coeffs, p, Ttilde, noise, theta, *rest)
+        def spy_phase(beamformer, coeffs, p, Ttilde, noise, theta, *rest):
+            cand = phase(beamformer, coeffs, p, Ttilde, noise, theta, *rest)
             events.append(effective_channel(ch, cand))
             return cand
 
@@ -249,12 +249,11 @@ class TestGramLoop:
             ch = sample_multi_antenna_channels(cfg, np.random.default_rng([33, 0]))
             prof = LatencyProfile.from_data(
                 np.random.default_rng([33, 1]).uniform(5000, 8000, 2), cfg.W, cfg.T)
-            solve_multi_antenna(cfg, ch, prof, FrameworkConfig(beamformer=solver),
-                                np.random.default_rng(0))
+            solve_multi_antenna(cfg, ch, prof, solver, np.random.default_rng(0))
         else:
             cfg = small_cfg(K=2, rho_b=1.0)
             ch, prof = draw(cfg, 3)
-            solve(cfg, ch, prof, FrameworkConfig(beamformer=solver), np.random.default_rng(0))
+            solve(cfg, ch, prof, solver, np.random.default_rng(0))
 
         Tt, noise = prof.Ttilde, cfg.noise_power
         assert len(events) > 0 and len(events) % 2 == 0
@@ -317,8 +316,7 @@ class TestGolden:
     def test_solve(self, K, solver, p, outer):
         cfg = small_cfg(K=K, rho_b=1.0)
         ch, prof = draw(cfg, 3)
-        st, tr = solve(cfg, ch, prof, FrameworkConfig(beamformer=solver),
-                       np.random.default_rng(0))
+        st, tr = solve(cfg, ch, prof, solver, np.random.default_rng(0))
         np.testing.assert_allclose(st.p, p, rtol=1e-12)
         assert tr.outer_iterations == outer
         assert len(tr.sum_power) == tr.outer_iterations
@@ -328,8 +326,7 @@ class TestGolden:
         mu = sample_multi_antenna_channels(cfg, np.random.default_rng([8, 0]))
         prof = LatencyProfile.from_data(
             np.random.default_rng([8, 1]).uniform(5000, 8000, 2), cfg.W, cfg.T)
-        _, st, tr = solve_multi_antenna(cfg, mu, prof, FrameworkConfig(beamformer="fixed-random"),
-                                        np.random.default_rng(0))
+        _, st, tr = solve_multi_antenna(cfg, mu, prof, "fixed-random", np.random.default_rng(0))
         np.testing.assert_allclose(st.p, [0.00017885087594763039, 8.377591481310808e-07],
                                    rtol=1e-12)
         assert tr.outer_iterations == 2
@@ -354,7 +351,7 @@ class TestRandomStarts:
         cfg = small_cfg(K=K, rho_b=1.0)
         ch, prof = draw(cfg, 3)
         rng = np.random.default_rng(0)
-        solve(cfg, ch, prof, FrameworkConfig(beamformer=solver), rng)
+        solve(cfg, ch, prof, solver, rng)
         self.assert_advanced(rng, self.DRAWS[solver], cfg.N)
 
     def test_solve_multi_antenna(self):
@@ -363,7 +360,7 @@ class TestRandomStarts:
         prof = LatencyProfile.from_data(
             np.random.default_rng([8, 1]).uniform(5000, 8000, 2), cfg.W, cfg.T)
         rng = np.random.default_rng(0)
-        solve_multi_antenna(cfg, mu, prof, FrameworkConfig(beamformer="ccmo"), rng)
+        solve_multi_antenna(cfg, mu, prof, "ccmo", rng)
         self.assert_advanced(rng, self.DRAWS["ccmo"], cfg.N)
 
 
@@ -373,14 +370,11 @@ class TestMultiAntenna:
         mu = sample_multi_antenna_channels(cfg, np.random.default_rng([4, 0]))
         prof = LatencyProfile.from_data(
             np.random.default_rng([4, 1]).uniform(5000, 8000, 2), cfg.W, cfg.T)
-        qbar, st_mu, _ = solve_multi_antenna(cfg, mu, prof,
-                                             FrameworkConfig(beamformer="ccmo"),
-                                             np.random.default_rng(0))
+        qbar, st_mu, _ = solve_multi_antenna(cfg, mu, prof, "ccmo", np.random.default_rng(0))
         ch = mu.reduce(qbar)
-        st, _ = solve(cfg, ch, prof, FrameworkConfig(beamformer="ccmo"),
-                      np.random.default_rng(0))
-        np.testing.assert_allclose(st_mu.p, st.p, rtol=1e-10)
-        np.testing.assert_allclose(st_mu.theta, st.theta, rtol=1e-10)
+        st, _ = solve(cfg, ch, prof, "ccmo", np.random.default_rng(0))
+        np.testing.assert_array_equal(st_mu.p, st.p)
+        np.testing.assert_array_equal(st_mu.theta, st.theta)
         np.testing.assert_array_equal(qbar, np.ones((2, 1), complex))
 
     def test_unit_norm_beamformers_at_return(self):
@@ -388,9 +382,7 @@ class TestMultiAntenna:
         mu = sample_multi_antenna_channels(cfg, np.random.default_rng([8, 0]))
         prof = LatencyProfile.from_data(
             np.random.default_rng([8, 1]).uniform(5000, 8000, 2), cfg.W, cfg.T)
-        qbar, st, _ = solve_multi_antenna(cfg, mu, prof,
-                                          FrameworkConfig(beamformer="ccmo"),
-                                          np.random.default_rng(0))
+        qbar, st, _ = solve_multi_antenna(cfg, mu, prof, "ccmo", np.random.default_rng(0))
         for k in range(2):
             assert np.linalg.norm(qbar[k]) == pytest.approx(1.0, abs=1e-12)
 
@@ -400,8 +392,7 @@ class TestMultiAntenna:
         mu = sample_multi_antenna_channels(cfg, np.random.default_rng([8, 0]))
         prof = LatencyProfile.from_data(
             np.random.default_rng([8, 1]).uniform(5000, 8000, 2), cfg.W, cfg.T)
-        qbar, st, _ = solve_multi_antenna(cfg, mu, prof, FrameworkConfig(beamformer="none"),
-                                          np.random.default_rng(0))
+        qbar, st, _ = solve_multi_antenna(cfg, mu, prof, "none", np.random.default_rng(0))
         assert not np.any(st.theta)
         np.testing.assert_array_equal(st.h_eff, np.einsum("kmu,ku->km", mu.H_direct, qbar))
         for k in range(2):
@@ -414,9 +405,7 @@ class TestMultiAntenna:
         mu = sample_multi_antenna_channels(cfg, np.random.default_rng([33, 0]))
         prof = LatencyProfile.from_data(
             np.random.default_rng([33, 1]).uniform(5000, 8000, 2), cfg.W, cfg.T)
-        qbar, st, _ = solve_multi_antenna(cfg, mu, prof,
-                                          FrameworkConfig(beamformer="fixed-random"),
-                                          np.random.default_rng(0))
+        qbar, st, _ = solve_multi_antenna(cfg, mu, prof, "fixed-random", np.random.default_rng(0))
         assert np.any(qbar[:, 1] != 0.0)
         drawn = np.exp(1j * np.random.default_rng(0).uniform(0.0, 2.0 * np.pi, mu.v.size))
         np.testing.assert_array_equal(st.theta, drawn)
@@ -429,15 +418,12 @@ class TestMultiAntenna:
             prof = LatencyProfile.from_data(
                 np.random.default_rng([seed, 1]).uniform(5000, 8000, 2), cfg2.W, cfg2.T)
             try:
-                _, st2, _ = solve_multi_antenna(cfg2, mu, prof,
-                                                FrameworkConfig(beamformer="ccmo"),
-                                                np.random.default_rng(0))
+                _, st2, _ = solve_multi_antenna(cfg2, mu, prof, "ccmo", np.random.default_rng(0))
                 # single-antenna reference: first column of the same draw
                 first_col = np.zeros((2, 2), complex)
                 first_col[:, 0] = 1.0
                 ch1 = mu.reduce(first_col)
-                st1, _ = solve(cfg2, ch1, prof, FrameworkConfig(beamformer="ccmo"),
-                               np.random.default_rng(0))
+                st1, _ = solve(cfg2, ch1, prof, "ccmo", np.random.default_rng(0))
             except InfeasibleError:
                 continue
             total += 1
