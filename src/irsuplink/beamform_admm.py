@@ -32,6 +32,8 @@ __all__ = [
 Q_STEP_MAX_ITER = 50  # q-step Newton iterations
 Q_STEP_DECREMENT_TOL = 1e-14  # q-step stops once -grad^T step <= this * phi
 TOL_OBJECTIVE = 1e-6  # relative change of the outer value that ends the outer loop
+THETA_STEP_TOL = 1e-7  # theta-step stops once a move is at most this relative to ||theta||
+THETA_STEP_MAX_ITER = 40  # theta-step projected-gradient steps
 
 
 class SingularDenominatorError(ValueError):
@@ -121,8 +123,6 @@ class QStepReport:
 class AdmmResult:
     theta: np.ndarray
     value: float
-    consensus_residuals: list
-    final_consensus: float
     converged: bool
     outer_iterations: int
 
@@ -138,8 +138,7 @@ def _phase_project(z: np.ndarray) -> np.ndarray:
     return out.astype(complex)
 
 
-def admm_theta_step(state: AdmmState, objective: FractionalObjective,
-                    tol: float = 1e-7, max_iter: int = 40) -> np.ndarray:
+def admm_theta_step(state: AdmmState, objective: FractionalObjective) -> np.ndarray:
     """theta update: projected gradient on the relaxed ball constraints
     |theta_n| <= 1, then per-coordinate phase projection to the circle."""
     w = state.q - state.r
@@ -149,7 +148,7 @@ def admm_theta_step(state: AdmmState, objective: FractionalObjective,
     val, ja_grad = objective._ja_value_grad(theta, beta)
     val += 0.5 * rho * float(np.linalg.norm(theta - w) ** 2)
     step = 1.0 / rho
-    for _ in range(max_iter):
+    for _ in range(THETA_STEP_MAX_ITER):
         grad = ja_grad + rho * (theta - w)
         moved = False
         for _ in range(40):
@@ -166,7 +165,7 @@ def admm_theta_step(state: AdmmState, objective: FractionalObjective,
         move_norm = float(np.linalg.norm(cand - theta))
         theta, val, ja_grad = cand, cand_val, cand_grad
         step *= 1.5
-        if move_norm <= tol * max(1.0, float(np.linalg.norm(theta))):
+        if move_norm <= THETA_STEP_TOL * max(1.0, float(np.linalg.norm(theta))):
             break
     return _phase_project(theta)
 
@@ -252,7 +251,6 @@ def run_admm(objective: FractionalObjective, theta0: np.ndarray,
                       r=np.zeros(n, dtype=complex),
                       beta=objective.optimal_beta(theta0), rho=rho)
     rho_hi = rho * 2.0**16
-    residuals: list[float] = []
     prev_outer = best_val
     converged = False
     outer_done = 0
@@ -261,7 +259,6 @@ def run_admm(objective: FractionalObjective, theta0: np.ndarray,
         state.beta = objective.optimal_beta(state.theta)
         best_resid = np.inf
         since_best = 0
-        residuals = []
         for it in range(max_inner):
             state.theta = admm_theta_step(state, objective)
             q_prev = state.q
@@ -269,7 +266,6 @@ def run_admm(objective: FractionalObjective, theta0: np.ndarray,
             state.r = state.r + state.theta - state.q
             resid = float(np.linalg.norm(state.theta - state.q))
             dual_resid = state.rho * float(np.linalg.norm(state.q - q_prev))
-            residuals.append(resid)
             val = objective.value(state.theta)
             if val < best_val:
                 best_val, best_theta = val, state.theta.copy()
@@ -298,7 +294,5 @@ def run_admm(objective: FractionalObjective, theta0: np.ndarray,
             converged = True
             break
         prev_outer = outer_val
-    return AdmmResult(theta=best_theta, value=best_val,
-                      consensus_residuals=residuals,
-                      final_consensus=residuals[-1] if residuals else 0.0,
-                      converged=converged, outer_iterations=outer_done)
+    return AdmmResult(theta=best_theta, value=best_val, converged=converged,
+                      outer_iterations=outer_done)

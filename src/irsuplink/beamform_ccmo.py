@@ -98,15 +98,13 @@ def largest_eigen_magnitude(form: QuadraticForm) -> float:
 @dataclass(frozen=True)
 class CcmoResult:
     theta: np.ndarray
-    residual_value: float
     descent_value: float
     trace: list
     iterations: int
     converged: bool
-    path: list | None = None
 
 
-def run_ccmo(form: QuadraticForm, theta0: np.ndarray, record_path: bool = False) -> CcmoResult:
+def run_ccmo(form: QuadraticForm, theta0: np.ndarray) -> CcmoResult:
     """Riemannian gradient descent from the constant step 1/max|eig(U)|,
     the exact bound from `largest_eigen_magnitude` (1 when U = 0).
 
@@ -114,7 +112,6 @@ def run_ccmo(form: QuadraticForm, theta0: np.ndarray, record_path: bool = False)
     objective change. Steps that would increase the objective (or hit a
     retraction singularity) are halved up to 50 times; if no decrease is
     found the iterate is stationary and the best point so far is returned.
-    record_path keeps every iterate.
     """
     lam = largest_eigen_magnitude(form)
     zeta0 = 1.0 / lam if lam > 0.0 else 1.0
@@ -122,7 +119,6 @@ def run_ccmo(form: QuadraticForm, theta0: np.ndarray, record_path: bool = False)
     theta = np.asarray(theta0, dtype=complex).copy()
     f = form.descent_value(theta)
     trace = [f]
-    path = [theta.copy()] if record_path else None
     converged = False
     it = 0
     for it in range(1, MAX_ITER + 1):
@@ -144,13 +140,11 @@ def run_ccmo(form: QuadraticForm, theta0: np.ndarray, record_path: bool = False)
         small = abs(f_new - f) <= TOL * max(abs(f), abs(f_new), 1e-300)
         theta, f = cand, f_new
         trace.append(f)
-        if record_path:
-            path.append(theta.copy())
         if small:
             converged = True
             break
-    return CcmoResult(theta=theta, residual_value=form.value(theta), descent_value=f,
-                      trace=trace, iterations=it, converged=converged, path=path)
+    return CcmoResult(theta=theta, descent_value=f, trace=trace, iterations=it,
+                      converged=converged)
 
 
 def optimize_phases(form: QuadraticForm, starts) -> CcmoResult:

@@ -169,16 +169,24 @@ class ExperimentTable:
 def _integer(value, name: str, low: int = 0) -> int:
     """value as an int, or SpecError unless it is a whole number >= low (not 1.5, "8", True)."""
     # int and float, listed first, pass without numbers.Real's slower ABC check
-    if isinstance(value, bool) or not (isinstance(value, (int, float, numbers.Real))
-                                       and float(value).is_integer() and value >= low):
+    try:
+        ok = (not isinstance(value, bool) and isinstance(value, (int, float, numbers.Real))
+              and float(value).is_integer() and value >= low)
+    except OverflowError:  # an int too large for a float
+        ok = False
+    if not ok:
         raise SpecError(f"{name} must be a whole number >= {low}, got {value!r}")
     return int(value)
 
 
 def _real(value, name: str) -> float:
     """value as a float, or SpecError unless it is a finite real number (not inf, "8", True)."""
-    if isinstance(value, bool) or not (isinstance(value, (int, float, numbers.Real))
-                                       and math.isfinite(value)):
+    try:
+        ok = (not isinstance(value, bool) and isinstance(value, (int, float, numbers.Real))
+              and math.isfinite(value))
+    except OverflowError:  # an int too large for a float
+        ok = False
+    if not ok:
         raise SpecError(f"{name} must be a finite number, got {value!r}")
     return float(value)
 

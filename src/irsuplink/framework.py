@@ -75,7 +75,7 @@ def _phase_starts(beamformer: str, n: int, rng: np.random.Generator):
 
 
 def solve(cfg: SystemConfig, channels: ChannelSet, profile: LatencyProfile,
-          beamformer: str, rng: np.random.Generator | None = None):
+          beamformer: str, rng: np.random.Generator):
     """Minimize the total uplink power under per-user deadlines with beamformer, one of SOLVERS.
 
     Returns (SolverState, ConvergenceTrace). Raises InfeasibleError when no
@@ -95,8 +95,6 @@ def _solve(cfg, ch, profile, beamformer, rng, mu=None, qbar=None):
     """
     if beamformer not in SOLVERS:
         raise ValueError(f"unknown beamformer {beamformer!r}, pick one of {SOLVERS}")
-    if rng is None:
-        rng = np.random.default_rng(0)
     noise = cfg.noise_power
     Ttilde = profile.Ttilde.tolist()
     starts, restarts = _phase_starts(beamformer, ch.num_irs_elements, rng)
@@ -183,8 +181,7 @@ def _beamformer_candidate(beamformer, coeffs, p, Ttilde, noise, theta, restarts)
 
 
 def solve_multi_antenna(cfg: SystemConfig, mu_channels: MultiAntennaChannels,
-                        profile: LatencyProfile, beamformer: str,
-                        rng: np.random.Generator | None = None):
+                        profile: LatencyProfile, beamformer: str, rng: np.random.Generator):
     """Multi-antenna users: the single-antenna AO loop on the reduced
     channels H q_bar, with the transmit beamformers q_bar as one more
     gated block.

@@ -318,13 +318,16 @@ class TestCli:
         # the sampler draws path loss over every AP-IRS, user-AP and user-IRS link
         ("N", 8, {"d_x1": 0.0, "d_y1": 0.0}, {}),
         ("N", 8, {"irs_xy": [0.0, 0.0]}, {}),
+        # an integer too large for a float is out of range, not a crash
+        ("rho_b", 0.5, {"M": 10**400}, {}),
+        ("rho_b", 10**400, {}, {}),
     ], ids=["rho_b-1.5", "N-0", "D_nats-triple", "D_nats-reversed", "D_nats-text",
             "D_nats-negative", "D--5", "N-8.5", "N_u-1.5", "M-1.6", "N_az-1.6", "N_el-1.6",
             "K-1.6", "L-1.6", "base-N_u-1.6", "trials-1.9", "seed-3.7", "ap_xy-single",
             "irs_xy-triple", "user_xy-list", "top-trails", "N-sweep-N_el-1.6", "D-pair", "d_x1-nan",
             "D_nats-inf", "W_hz-inf", "noise_dbm-nan", "nu_db-nan", "base-d_x1-nan", "ap_xy-nan",
             "rho_U_dbi-inf", "d_y1-inf", "noise_dbm-true", "rho_b-true", "D_nats-true",
-            "user-at-ap", "irs-at-ap"])
+            "user-at-ap", "irs-at-ap", "M-401-digits", "rho_b-401-digits"])
     def test_out_of_range_grid_value_is_spec_error(self, tmp_path, capsys, command,
                                                    variable, value, base, top):
         out = tmp_path / "x.csv"

@@ -35,7 +35,7 @@ class TestSolveBasics:
     def test_single_user_no_irs_closed_form(self):
         cfg = small_cfg(K=1, rho_b=0.0)
         ch, prof = draw(cfg, 11)
-        st, tr = solve(cfg, ch, prof, "none")
+        st, tr = solve(cfg, ch, prof, "none", np.random.default_rng(0))
         # K=1 MVDR is the matched filter: p = sigma^2 T~ / ||h||^2
         expect = cfg.noise_power * prof.Ttilde[0] / np.linalg.norm(ch.h_direct[0]) ** 2
         assert st.p[0] == pytest.approx(expect, rel=1e-8)
@@ -179,7 +179,7 @@ class TestDegenerateIterate:
         cfg = small_cfg(K=1, rho_b=0.0)
         ch, prof = draw(cfg, 11)
         with pytest.raises(InfeasibleError):
-            solve(cfg, ch, prof, "none")
+            solve(cfg, ch, prof, "none", np.random.default_rng(0))
         calls.clear()
         spec = ExperimentSpec(name="degenerate", sweep_variable="N", grid=(8,), trials=1,
                               seed=5, solvers=("none",), base={"M": 8, "N_az": 4, "N_el": 2})
@@ -210,7 +210,7 @@ class TestGramLoop:
         monkeypatch.setattr(framework, "effective_channel",
                             counting(counts, "channel", framework.effective_channel))
         with pytest.raises(InfeasibleError):
-            solve(cfg, ch, prof, "none")
+            solve(cfg, ch, prof, "none", np.random.default_rng(0))
         assert counts["channel"] == 1
 
     @pytest.mark.parametrize("solver", ["ccmo", "admm", "fixed-random"])

@@ -14,6 +14,7 @@ from irsuplink import (
     sinr,
     watts_to_dbm,
 )
+from irsuplink.experiments import _build_config
 from conftest import crandn, dense_G, random_channel_set, single_user_oracle
 
 
@@ -52,6 +53,8 @@ class TestSystemConfigValidation:
     def test_defaults_are_consistent(self):
         cfg = SystemConfig()
         assert cfg.N == 40
+        # the CLI's base defaults state the same scenario as the library's
+        assert _build_config({}, "rho_b", 0.0)[0] == cfg
 
     def test_rejects_bad_counts(self):
         with pytest.raises(ValueError):
